@@ -314,13 +314,10 @@ impl Engine {
             Request::Tick { now } => self.write(WriteOp::Tick(now)),
             Request::Fault { scenario, now } => self.write(WriteOp::Fault(scenario, now)),
             Request::Save => self.write(WriteOp::Save),
-            Request::Shutdown => {
-                let res = self.write(WriteOp::Shutdown);
-                // Flag after the writer acknowledged: the response
-                // still goes out, then connections and acceptor close.
-                self.shared.stopping.store(true, Ordering::SeqCst);
-                res
-            }
+            // The writer raises `stopping` before it replies: the
+            // response still goes out, then connections and acceptor
+            // close.
+            Request::Shutdown => self.write(WriteOp::Shutdown),
         }
     }
 
@@ -594,14 +591,15 @@ fn save_now(ac: &mut Option<AdmissionController>, cfg: &EngineConfig) -> Result<
 }
 
 /// Applies one mutation to the controller. Sets `mutated` when the
-/// standing state changed (the caller republishes the view) and `stop`
-/// on shutdown.
+/// standing state changed (the caller republishes the view) and
+/// `stopping` on shutdown — before the reply goes out and the writer
+/// exits, so a joined writer implies [`Engine::is_stopping`].
 fn apply_op(
     op: WriteOp,
     ac: &mut Option<AdmissionController>,
     cfg: &EngineConfig,
     mutated: &mut bool,
-    stop: &mut bool,
+    stopping: &AtomicBool,
 ) -> Result<Value, WireError> {
     match op {
         WriteOp::Init(network, flows) => match FlowSet::new(network, flows) {
@@ -686,7 +684,7 @@ fn apply_op(
         },
         WriteOp::Save => save_now(ac, cfg),
         WriteOp::Shutdown => {
-            *stop = true;
+            stopping.store(true, Ordering::SeqCst);
             let saved = if cfg.snapshot_path.is_some() && ac.is_some() {
                 save_now(ac, cfg).is_ok()
             } else {
@@ -721,19 +719,18 @@ fn writer_loop(
                 Err(_) => break,
             }
         }
-        let mut stop = false;
         let mut burst_mutated = false;
         let commits_before = commits;
         let mut replies = Vec::with_capacity(burst.len());
         for cmd in burst {
             let mut mutated = false;
-            let result = apply_op(cmd.op, &mut ac, &cfg, &mut mutated, &mut stop);
+            let result = apply_op(cmd.op, &mut ac, &cfg, &mut mutated, &shared.stopping);
             if mutated {
                 commits += 1;
                 burst_mutated = true;
             }
             replies.push((cmd.reply, result));
-            if stop {
+            if shared.stopping.load(Ordering::SeqCst) {
                 break;
             }
         }
@@ -764,7 +761,7 @@ fn writer_loop(
         for (reply, result) in replies {
             let _ = reply.send(result);
         }
-        if stop {
+        if shared.stopping.load(Ordering::SeqCst) {
             break;
         }
     }
@@ -831,6 +828,22 @@ mod tests {
         assert!(bye.contains("\"stopping\":true"), "{bye}");
         assert!(engine.is_stopping());
         engine.join();
+    }
+
+    #[test]
+    fn joined_writer_implies_stopping() {
+        for round in 0..200 {
+            let engine = Arc::new(engine_with_example());
+            let client = engine.clone();
+            let sender = std::thread::spawn(move || client.dispatch_line("{\"op\":\"shutdown\"}"));
+            engine.join();
+            assert!(
+                engine.is_stopping(),
+                "round {round}: writer gone, flag down"
+            );
+            let bye = sender.join().unwrap();
+            assert!(bye.contains("\"stopping\":true"), "{bye}");
+        }
     }
 
     #[test]

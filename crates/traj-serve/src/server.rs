@@ -9,7 +9,8 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use crate::engine::Engine;
 
@@ -38,11 +39,36 @@ pub fn serve_connection<R: BufRead, W: Write>(
     Ok(served)
 }
 
+/// How long [`TcpServer::wait`] lets open connections finish after the
+/// acceptor stopped. Connections that answered a request since the stop
+/// close at once; only an idle client holds the wait this long.
+const DRAIN_GRACE: Duration = Duration::from_secs(1);
+
 /// A listening daemon: accept loop + thread per connection.
 pub struct TcpServer {
     engine: Arc<Engine>,
     addr: SocketAddr,
     accept: Option<std::thread::JoinHandle<()>>,
+    live: Arc<LiveConnections>,
+}
+
+/// Count of connection threads still serving, so that shutdown does not
+/// end the process before the `shutdown` reply itself is written.
+#[derive(Default)]
+struct LiveConnections {
+    count: Mutex<usize>,
+    closed: Condvar,
+}
+
+/// Decrements the live count when a connection thread ends.
+struct LiveGuard(Arc<LiveConnections>);
+
+impl Drop for LiveGuard {
+    fn drop(&mut self) {
+        let mut n = self.0.count.lock().unwrap_or_else(|e| e.into_inner());
+        *n = n.saturating_sub(1);
+        self.0.closed.notify_all();
+    }
 }
 
 impl TcpServer {
@@ -52,11 +78,14 @@ impl TcpServer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let eng = engine.clone();
-        let accept = std::thread::spawn(move || accept_loop(listener, eng));
+        let live = Arc::new(LiveConnections::default());
+        let lv = live.clone();
+        let accept = std::thread::spawn(move || accept_loop(listener, eng, lv));
         Ok(TcpServer {
             engine,
             addr,
             accept: Some(accept),
+            live,
         })
     }
 
@@ -65,8 +94,9 @@ impl TcpServer {
         self.addr
     }
 
-    /// Blocks until the daemon has shut down (a client sent `shutdown`)
-    /// and the accept loop has exited.
+    /// Blocks until the daemon has shut down (a client sent `shutdown`),
+    /// the accept loop has exited and the open connections have closed
+    /// (idle ones are given up on after [`DRAIN_GRACE`]).
     pub fn wait(mut self) {
         self.engine.join();
         // The acceptor blocks in `accept`; poke it so it observes the
@@ -77,10 +107,25 @@ impl TcpServer {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
+        // The connection that asked for the shutdown writes its reply
+        // after the writer has exited; returning now could end the
+        // process first and cut that reply off.
+        let deadline = Instant::now() + DRAIN_GRACE;
+        let mut n = self.live.count.lock().unwrap_or_else(|e| e.into_inner());
+        while *n > 0 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            n = match self.live.closed.wait_timeout(n, left) {
+                Ok((g, _)) => g,
+                Err(e) => e.into_inner().0,
+            };
+        }
     }
 }
 
-fn accept_loop(listener: TcpListener, engine: Arc<Engine>) {
+fn accept_loop(listener: TcpListener, engine: Arc<Engine>, live: Arc<LiveConnections>) {
     loop {
         let (stream, _) = match listener.accept() {
             Ok(conn) => conn,
@@ -91,7 +136,10 @@ fn accept_loop(listener: TcpListener, engine: Arc<Engine>) {
         }
         let _ = stream.set_nodelay(true);
         let eng = engine.clone();
+        *live.count.lock().unwrap_or_else(|e| e.into_inner()) += 1;
+        let guard = LiveGuard(live.clone());
         std::thread::spawn(move || {
+            let _guard = guard;
             let reader = match stream.try_clone() {
                 Ok(r) => BufReader::new(r),
                 Err(_) => return,
@@ -154,5 +202,37 @@ mod tests {
         let bye = roundtrip(&mut a, "{\"id\":2,\"op\":\"shutdown\"}");
         assert!(bye.contains("\"stopping\":true"), "{bye}");
         server.wait();
+    }
+
+    /// `wait` pokes the acceptor once the writer has exited; the stop
+    /// flag must already be up by then, or the acceptor takes the poke
+    /// for a client and blocks in `accept` for good. And `wait` must not
+    /// return before the `shutdown` reply is written, or the process
+    /// exits with the reply unsent.
+    #[test]
+    fn wait_returns_after_every_shutdown_with_its_reply_sent() {
+        use std::io::Read;
+        use std::sync::mpsc::channel;
+        for round in 0..200 {
+            let (_engine, server) = start_tcp();
+            let mut conn = TcpStream::connect(server.addr()).unwrap();
+            conn.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
+            let (done_tx, done_rx) = channel();
+            std::thread::spawn(move || {
+                server.wait();
+                let _ = done_tx.send(());
+            });
+            assert!(
+                done_rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+                "round {round}: TcpServer::wait hung after shutdown"
+            );
+            // Without blocking: the whole reply and the end of stream
+            // must already be in the socket when `wait` returns.
+            conn.set_nonblocking(true).unwrap();
+            let mut bye = String::new();
+            let read = conn.read_to_string(&mut bye);
+            assert!(read.is_ok(), "round {round}: {read:?} after {bye:?}");
+            assert!(bye.contains("\"stopping\":true"), "round {round}: {bye:?}");
+        }
     }
 }
