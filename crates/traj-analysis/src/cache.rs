@@ -132,26 +132,6 @@ impl PrefixSkeleton {
         }
     }
 
-    /// Whether any `Smax` entry this skeleton reads is flagged in
-    /// `changed` (the owner's entries at each `pos_i`, the crossers' at
-    /// each `pos_j`). When none is, re-evaluating the bound against the
-    /// current table reproduces the previous result — the basis of the
-    /// incremental Jacobi round.
-    pub(crate) fn depends_on_changed(&self, flow_idx: usize, changed: &[Vec<bool>]) -> bool {
-        self.windows
-            .iter()
-            .any(|w| changed[flow_idx][w.pos_i] || changed[w.j_idx][w.pos_j])
-    }
-
-    /// Whether any window of this skeleton reads the `Smax` row of a
-    /// flagged flow. Unlike [`Self::depends_on_changed`] the owner's own
-    /// reads are not consulted — the caller asks "can a change in the
-    /// flagged set reach this row", and the owner's row is by premise
-    /// not in the set.
-    pub(crate) fn reads_flagged_row(&self, flagged: &[bool]) -> bool {
-        self.windows.iter().any(|w| flagged[w.j_idx])
-    }
-
     /// A copy with every window's crosser index shifted across the
     /// removal of set index `removed` (see
     /// [`InterferenceCache::shrink_for`]). Only valid for skeletons that
@@ -548,15 +528,6 @@ impl InterferenceCache {
         } else {
             (0..n).into_par_iter().map(build).collect()
         }
-    }
-
-    /// Whether any skeleton of `flow_idx` (any prefix) reads the `Smax`
-    /// row of a flagged flow — the dependency test behind the fixed
-    /// point's active-row worklist.
-    pub(crate) fn row_reads_flagged(&self, flow_idx: usize, flagged: &[bool]) -> bool {
-        self.prefixes[flow_idx]
-            .iter()
-            .any(|sk| sk.reads_flagged_row(flagged))
     }
 
     /// Resolves every universe flow crossing `fi`'s full path into a

@@ -1,4 +1,6 @@
-//! Component-sharded `Smax` fixed point over a struct-of-arrays arena.
+//! The `Smax` fixed point: component-sharded, over a struct-of-arrays
+//! arena. This is the one production engine; [`crate::reference`] is
+//! its independent test oracle.
 //!
 //! # Why sharding is exact
 //!
@@ -6,16 +8,15 @@
 //! window of a flow's skeleton reads `Smax` of the flow itself (`pos_i`)
 //! and of one flow crossing its path (`j_idx`/`pos_j`) — nothing else.
 //! Over the connected components of the crossing graph the equation
-//! system is therefore block-diagonal, and running the monolithic
-//! iteration is *exactly* running each component's iteration side by
-//! side: a monolithic round restricted to a component's rows reads only
-//! that component's cells, so a per-component round with the same
-//! schedule (Jacobi's frozen-table apply-after-round, Gauss–Seidel's
-//! in-place ascending sweep) produces the same values in the same round.
-//! Each component converges to its block of the unique least fixed point
-//! independently — converged components stop doing any work while others
-//! keep iterating, which the monolithic loop cannot do (its convergence
-//! test is global).
+//! system is therefore block-diagonal, and iterating the whole universe
+//! is *exactly* iterating each component side by side: a global round
+//! restricted to a component's rows reads only that component's cells,
+//! so a per-component round with the same schedule (Jacobi's
+//! frozen-table apply-after-round, Gauss–Seidel's in-place ascending
+//! sweep) produces the same values in the same round. Each component
+//! converges to its block of the unique least fixed point
+//! independently, and converged components stop doing any work while
+//! others keep iterating.
 //!
 //! [`partition`] unions over the *full-prefix* (`k = len`) skeletons:
 //! prefix windows arise by clipping full-path crossing segments, so the
@@ -24,13 +25,11 @@
 //!
 //! # The arena
 //!
-//! The monolithic hot loop pays three heap allocations per cell
-//! evaluation (the materialised window vector, the coalescing map, the
-//! event buffer) and reads values through one `Vec` per flow.
 //! [`ComponentArena`] flattens a component into contiguous arrays —
 //! values, windows with *precomputed flat read indices*, per-cell
 //! metadata — plus a CSR **reverse adjacency** (value index → cells
-//! reading it) built once at arena time. [`solve`] carries a dirty-cell
+//! reading it) built once at arena time, so a cell evaluation allocates
+//! nothing and reads no per-flow `Vec`. [`solve`] carries a dirty-cell
 //! worklist across Jacobi rounds: applying a changed value pushes
 //! exactly its dependent cells for the next round, so a steady-state
 //! round costs O(dirty work), not O(cells) scan + O(windows) dirty
@@ -39,29 +38,38 @@
 //! nothing. Arithmetic, window order, coalescing semantics
 //! (first-occurrence merge by `(a, period)`), and the checked-overflow
 //! error labels are replicated from [`crate::terms`] verbatim; the
-//! differential suite asserts bit-identity against
-//! [`crate::ShardMode::Monolithic`].
+//! differential suites assert bit-identity against the reference
+//! oracle.
 //!
-//! Rounds themselves can fan out across the rayon pool
-//! ([`crate::IntraParallel`]): a Jacobi round's evaluations all read the
-//! frozen previous table, so the parallel round writes results into a
-//! buffer indexed by worklist position and applies them in ascending
-//! arena order — the exact serial sequence, bit-identical by
-//! construction. [`solve_sharded`] additionally schedules components
-//! largest-estimated-cost first so a dominant component no longer
-//! serialises the tail of the shard queue behind it.
+//! # Run plan
+//!
+//! [`RunPlan::pick`] fixes two choices per run, from the set size,
+//! whether the run is cold, and the pool width — never from the
+//! configuration:
+//!
+//! * the round schedule ([`RunShape`]): Gauss–Seidel on small sets and
+//!   on cold runs over a one-thread pool, Jacobi otherwise;
+//! * the fan-out: a Jacobi round whose worklist holds at least
+//!   [`INTRA_PARALLEL_MIN_CELLS`] cells spreads its evaluations across
+//!   the pool (when the pool has more than one thread). Its evaluations
+//!   all read the frozen previous table, so the parallel round writes
+//!   results into a buffer indexed by worklist position and applies
+//!   them in ascending arena order — the exact serial sequence,
+//!   bit-identical by construction.
+//!
+//! [`solve_sharded`] additionally schedules components
+//! largest-estimated-cost first so a dominant component does not
+//! serialise the tail of the shard queue behind it.
 //!
 //! # Error determinism
 //!
-//! The monolithic loop surfaces the first error in (round, flow index,
+//! A global iteration surfaces the first error in (round, flow index,
 //! position) order. Shards run independently to completion or error;
 //! [`solve_sharded`] then replays that order: the minimum (round, flow
 //! index) error wins, and a divergence reports the highest-indexed cell
-//! still changing in the final round — exactly the cell the monolithic
-//! `last_changed` would hold. Inside a shard the worklist is sorted
-//! ascending before each round, so errors surface in the same
-//! (flow, position) order as the monolithic scan, whether the round ran
-//! serially or fanned out.
+//! still changing in the final round. Inside a shard the worklist is
+//! sorted ascending before each round, so errors surface in (flow,
+//! position) order whether the round ran serially or fanned out.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -71,11 +79,68 @@ use rayon::prelude::*;
 use traj_model::{Duration, FlowId, FlowSet, NodeId, Tick};
 
 use crate::cache::InterferenceCache;
-use crate::config::{AnalysisConfig, FixpointStrategy, IntraParallel, INTRA_PARALLEL_MIN_CELLS};
+use crate::config::AnalysisConfig;
 use crate::report::Verdict;
 use crate::smax::SmaxTable;
-use crate::telemetry::{RoundTelemetry, ShardTelemetry};
+use crate::telemetry::{RoundTelemetry, RunShape, ShardTelemetry};
 use crate::terms::{sweep_merged, Overflowed, SweepScratch, Window};
+
+/// Below this flow count a run uses Gauss–Seidel rounds: E12 measured
+/// Jacobi *3.6× slower* than the pre-cache reference at 5 flows — the
+/// parallel round's fork/join and double-buffering overhead dwarfs the
+/// work when the table is small. At and above it Jacobi wins on scaling,
+/// and its dirty-cell worklist is what makes warm starts incremental.
+const AUTO_JACOBI_MIN_FLOWS: usize = 16;
+
+/// Minimum worklist size (cells due for evaluation this round) for which
+/// a Jacobi round fans out across the rayon pool. Below it the per-round
+/// fork/join costs more than the evaluations it spreads — the same
+/// economics as [`AUTO_JACOBI_MIN_FLOWS`], one level down.
+const INTRA_PARALLEL_MIN_CELLS: usize = 512;
+
+/// The round schedule for a run over `n_flows` flows. Jacobi's two
+/// structural advantages are its parallelisable rounds (worthless on a
+/// one-thread pool) and its dirty-cell worklist (worthless on a cold
+/// start, where round 1 touches everything and later rounds shrink for
+/// Gauss–Seidel too — in-place propagation converges in roughly half the
+/// rounds, E19). So a large set runs Gauss–Seidel exactly when both are
+/// absent: a cold run on a one-thread pool. Warm starts keep Jacobi
+/// whatever the pool width — the seeded-skip worklist is what makes
+/// re-analysis incremental.
+fn run_shape(n_flows: usize, cold: bool, pool_threads: usize) -> RunShape {
+    if n_flows < AUTO_JACOBI_MIN_FLOWS || (cold && pool_threads <= 1) {
+        RunShape::GaussSeidel
+    } else {
+        RunShape::Jacobi
+    }
+}
+
+/// How one run iterates the fixed point: its round schedule and the
+/// worklist size from which a Jacobi round fans out across the pool.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RunPlan {
+    pub(crate) shape: RunShape,
+    /// Smallest worklist that fans out; `None` keeps every round serial.
+    fan_out_min: Option<usize>,
+}
+
+impl RunPlan {
+    /// The plan for a run over `n_flows` flows, `cold` when every row is
+    /// seeded, on the current rayon pool.
+    pub(crate) fn pick(n_flows: usize, cold: bool) -> RunPlan {
+        let threads = rayon::current_num_threads();
+        RunPlan {
+            shape: run_shape(n_flows, cold, threads),
+            // A one-thread pool would pay the fork/join for zero overlap.
+            fan_out_min: (threads > 1).then_some(INTRA_PARALLEL_MIN_CELLS),
+        }
+    }
+
+    #[inline]
+    fn fan_out(&self, worklist: usize) -> bool {
+        self.fan_out_min.map(|m| worklist >= m).unwrap_or(false) && worklist > 1
+    }
+}
 
 /// Connected components of the crossing graph restricted to `universe`,
 /// as ascending member lists ordered by first member — a deterministic
@@ -322,8 +387,8 @@ thread_local! {
 
 /// One cell update: materialise alignments from the flat values, sweep,
 /// add the link `Lmax`, check the guard. Arithmetic and error order
-/// replicate `wcrt_prefix` + `smax_update` exactly. Unlike the
-/// monolithic path, the windows are *not* coalesced first: coalescing
+/// replicate `Analyzer::wcrt_prefix` plus the `Lmax` step exactly.
+/// Unlike `wcrt_prefix`, the windows are *not* coalesced first: coalescing
 /// merges equal-`(a, period)` windows, which is value-preserving (same
 /// jump instants, tied events' costs are summed before each evaluation
 /// either way), so skipping the hash pass changes nothing but time.
@@ -399,53 +464,22 @@ struct SolveOut {
     end: ShardEnd,
 }
 
-/// Whether (and above which worklist size) a Jacobi round fans out
-/// across the rayon pool; resolved once per sharded run from
-/// [`IntraParallel`] and the live pool width.
-#[derive(Clone, Copy)]
-struct ParallelPlan {
-    min_cells: Option<usize>,
-}
-
-impl ParallelPlan {
-    fn resolve(cfg: &AnalysisConfig) -> ParallelPlan {
-        let min_cells = match cfg.intra_parallel {
-            IntraParallel::Never => None,
-            IntraParallel::Always => Some(0),
-            // A one-thread pool would pay the fork/join for zero overlap.
-            IntraParallel::Auto => {
-                (rayon::current_num_threads() > 1).then_some(INTRA_PARALLEL_MIN_CELLS)
-            }
-        };
-        ParallelPlan { min_cells }
-    }
-
-    #[inline]
-    fn fan_out(&self, worklist: usize) -> bool {
-        self.min_cells.map(|m| worklist >= m).unwrap_or(false) && worklist > 1
-    }
-}
-
-/// Iterates one component to its least fixed point with the chosen
-/// strategy, mirroring the monolithic round schedule per component.
+/// Iterates one component to its least fixed point with the plan's
+/// round schedule.
 ///
 /// Jacobi rounds run a dirty-cell worklist: round 0 holds the seeded
-/// rows' cells plus every cell reading a seeded row's value (exactly the
-/// monolithic `force` + dirty-read criterion), and applying a changed
-/// value pushes its reverse-adjacency dependents for the next round.
-/// The worklist is sorted ascending before evaluation, so values,
-/// telemetry counts, and error order match the monolithic scan
-/// bit-for-bit — warm starts (few seeded rows) and cold starts (all
-/// rows) are the same code path, differing only in the initial list.
-fn solve(
-    mut arena: ComponentArena,
-    cfg: &AnalysisConfig,
-    chosen: FixpointStrategy,
-    plan: ParallelPlan,
-) -> SolveOut {
+/// rows' cells plus every cell reading a seeded row's value, and
+/// applying a changed value pushes its reverse-adjacency dependents for
+/// the next round (a cell none of whose reads changed would reproduce
+/// its value). The worklist is sorted ascending before evaluation, so
+/// values, telemetry counts, and error order do not depend on whether
+/// the round fanned out — warm starts (few seeded rows) and cold starts
+/// (all rows) are the same code path, differing only in the initial
+/// list.
+fn solve(mut arena: ComponentArena, cfg: &AnalysisConfig, plan: RunPlan) -> SolveOut {
     let start = Instant::now();
     let cells_total = arena.cells.len();
-    let jacobi = chosen == FixpointStrategy::Jacobi;
+    let jacobi = plan.shape == RunShape::Jacobi;
     let mut dirty_cell = vec![false; cells_total];
     let mut cur: Vec<u32> = Vec::new();
     let mut next: Vec<u32> = Vec::new();
@@ -490,9 +524,8 @@ fn solve(
         let mut err: Option<(usize, Verdict)> = None;
         if jacobi {
             // Frozen-table round over the worklist, ascending arena
-            // order — the per-component projection of the monolithic
-            // round, errors surfacing in the same (flow, position)
-            // order. Values are applied only after every evaluation.
+            // order, errors surfacing in (flow, position) order. Values
+            // are applied only after every evaluation.
             cur.sort_unstable();
             rt.skipped = cells_total - cur.len();
             updates.clear();
@@ -641,11 +674,11 @@ fn solve(
 
 /// Result of a successful sharded solve, for the caller's telemetry.
 pub(crate) struct ShardedRun {
-    /// Maximum rounds over the shards (what the monolithic loop would
-    /// have reported as its round count).
+    /// Maximum rounds over the shards (the round count of the global
+    /// iteration).
     pub(crate) rounds: usize,
-    /// Monolithic-shaped per-round record: shard rounds merged
-    /// index-wise (counts summed, deltas maxed).
+    /// Whole-run per-round record: shard rounds merged index-wise
+    /// (counts summed, deltas maxed).
     pub(crate) per_round: Vec<RoundTelemetry>,
     /// One record per component actually solved, ordered by first
     /// member flow index.
@@ -663,7 +696,7 @@ pub(crate) fn solve_sharded(
     cache: &InterferenceCache,
     smax: &mut SmaxTable,
     seed_rows: &[bool],
-    chosen: FixpointStrategy,
+    plan: RunPlan,
     components: &[Vec<usize>],
 ) -> Result<ShardedRun, Verdict> {
     struct WorkItem<'m> {
@@ -695,7 +728,6 @@ pub(crate) fn solve_sharded(
             local_of[g] = l as u32;
         }
     }
-    let plan = ParallelPlan::resolve(cfg);
     let snapshot: &SmaxTable = smax;
     let local_ref: &[u32] = &local_of;
     let mut outs: Vec<SolveOut> = work
@@ -709,17 +741,16 @@ pub(crate) fn solve_sharded(
                     seed_rows,
                     item.members,
                     local_ref,
-                    chosen == FixpointStrategy::Jacobi,
+                    plan.shape == RunShape::Jacobi,
                 ),
                 cfg,
-                chosen,
                 plan,
             )
         })
         .collect();
 
-    // Errors first, in the monolithic (round, flow index) surfacing
-    // order; they pre-empt any other shard's later error or divergence.
+    // Errors first, in the global (round, flow index) surfacing order;
+    // they pre-empt any other shard's later error or divergence.
     let mut first_err: Option<(usize, usize, Verdict)> = None;
     for o in &outs {
         if let ShardEnd::Failed {
@@ -740,9 +771,8 @@ pub(crate) fn solve_sharded(
     if let Some((_, _, v)) = first_err {
         return Err(v);
     }
-    // Divergence: the monolithic `last_changed` is the highest-indexed
-    // cell applied in the final round, i.e. the maximum over the
-    // still-changing shards.
+    // Divergence: report the highest-indexed cell applied in the final
+    // round, i.e. the maximum over the still-changing shards.
     let mut worst: Option<(usize, usize)> = None;
     for o in &outs {
         if let ShardEnd::Diverged { last } = o.end {
@@ -805,9 +835,13 @@ pub(crate) fn solve_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::AnalysisConfig;
+    use crate::config::{config_grid, AnalysisConfig, SmaxMode};
+    use crate::reference::ReferenceAnalyzer;
     use crate::wcrt::NoDelta;
+    use proptest::prelude::*;
     use traj_model::examples::{line_topology, paper_example};
+    use traj_model::gen::{fat_tree, random_mesh, FatTreeParams, MeshParams};
+    use traj_model::FaultScenario;
 
     fn parts_of(set: &FlowSet) -> Vec<Vec<usize>> {
         let cfg = AnalysisConfig::default();
@@ -901,6 +935,271 @@ mod tests {
                         "cell {d} listed for value {v} it never reads"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn run_shape_follows_size_coldness_and_pool_width() {
+        use RunShape::*;
+        for threads in [1, 2, 8] {
+            for cold in [true, false] {
+                assert_eq!(run_shape(0, cold, threads), GaussSeidel);
+                assert_eq!(
+                    run_shape(AUTO_JACOBI_MIN_FLOWS - 1, cold, threads),
+                    GaussSeidel
+                );
+            }
+            // Warm starts keep Jacobi's worklist whatever the pool width.
+            assert_eq!(run_shape(AUTO_JACOBI_MIN_FLOWS, false, threads), Jacobi);
+            assert_eq!(run_shape(1000, false, threads), Jacobi);
+        }
+        // A cold run has no use for the worklist; without a second thread
+        // it has no use for parallel rounds either.
+        assert_eq!(run_shape(1000, true, 1), GaussSeidel);
+        assert_eq!(run_shape(1000, true, 2), Jacobi);
+    }
+
+    #[test]
+    fn fan_out_needs_a_plan_threshold_and_two_cells() {
+        let serial = RunPlan {
+            shape: RunShape::Jacobi,
+            fan_out_min: None,
+        };
+        let always = RunPlan {
+            fan_out_min: Some(0),
+            ..serial
+        };
+        let auto = RunPlan {
+            fan_out_min: Some(INTRA_PARALLEL_MIN_CELLS),
+            ..serial
+        };
+        assert!(!serial.fan_out(100_000));
+        assert!(always.fan_out(2) && !always.fan_out(1));
+        assert!(!auto.fan_out(INTRA_PARALLEL_MIN_CELLS - 1));
+        assert!(auto.fan_out(INTRA_PARALLEL_MIN_CELLS));
+    }
+
+    /// Every plan the engine can run: Gauss–Seidel, and Jacobi with its
+    /// rounds serial or fanned out on every worklist (the fan-out path
+    /// runs even on a one-thread pool, inline).
+    const PLANS: [RunPlan; 3] = [
+        RunPlan {
+            shape: RunShape::GaussSeidel,
+            fan_out_min: None,
+        },
+        RunPlan {
+            shape: RunShape::Jacobi,
+            fan_out_min: None,
+        },
+        RunPlan {
+            shape: RunShape::Jacobi,
+            fan_out_min: Some(0),
+        },
+    ];
+
+    /// Solves the fixed point over `universe` from `seed`, re-evaluating
+    /// the rows flagged in `seed_rows`, with an explicit plan.
+    fn solve_with(
+        set: &FlowSet,
+        cfg: &AnalysisConfig,
+        universe: &[bool],
+        seed: &SmaxTable,
+        seed_rows: &[bool],
+        plan: RunPlan,
+    ) -> Result<(SmaxTable, ShardedRun), Verdict> {
+        let cache = InterferenceCache::build(set, cfg, universe, &NoDelta);
+        let comps = partition(set, universe, &cache);
+        let mut smax = seed.clone();
+        let run = solve_sharded(set, cfg, &cache, &mut smax, seed_rows, plan, &comps)?;
+        Ok((smax, run))
+    }
+
+    /// The in-universe flows as a set of their own (the oracle has no
+    /// universe mask), with the original index of each.
+    fn survivors(set: &FlowSet, universe: &[bool]) -> (FlowSet, Vec<usize>) {
+        let idx: Vec<usize> = (0..set.len()).filter(|&i| universe[i]).collect();
+        let flows = idx.iter().map(|&i| set.flows()[i].clone()).collect();
+        (FlowSet::new(set.network().clone(), flows).unwrap(), idx)
+    }
+
+    /// Cold and warm solves under every plan against the reference
+    /// oracle: identical in-universe `Smax` rows, or the identical
+    /// failure verdict. The warm seed is the converged table with one
+    /// crossing component reset to its transit floor and re-seeded —
+    /// the shape of an admission or fault warm start, whose dirty
+    /// closure never reaches past the candidate's component. Serial and
+    /// fanned-out Jacobi must also agree on every per-round count.
+    fn assert_plans_match_oracle(
+        set: &FlowSet,
+        cfg: &AnalysisConfig,
+        universe: &[bool],
+    ) -> Result<(), TestCaseError> {
+        let (alive, idx) = survivors(set, universe);
+        let oracle = ReferenceAnalyzer::new(&alive, cfg);
+        let transit = SmaxTable::transit(set).unwrap();
+        let all_rows = vec![true; set.len()];
+        let mut cold_rounds = Vec::new();
+        for plan in PLANS {
+            let cold = solve_with(set, cfg, universe, &transit, &all_rows, plan);
+            match (&cold, &oracle) {
+                (Ok((smax, run)), Ok(o)) => {
+                    for (l, &g) in idx.iter().enumerate() {
+                        prop_assert_eq!(
+                            smax.row(g),
+                            o.smax().row(l),
+                            "cold {:?}, flow {}",
+                            plan,
+                            g
+                        );
+                    }
+                    if plan.shape == RunShape::Jacobi {
+                        cold_rounds.push(run.per_round.clone());
+                    }
+                }
+                (Err(e), Err(o)) => prop_assert_eq!(e, o, "cold failure, {:?}", plan),
+                _ => {
+                    return Err(TestCaseError::fail(format!(
+                        "cold {plan:?} and the oracle disagree on success: {:?} vs {:?}",
+                        cold.as_ref().map(|_| ()),
+                        oracle.as_ref().map(|_| ())
+                    )))
+                }
+            }
+        }
+        if let [serial, fanned] = &cold_rounds[..] {
+            prop_assert_eq!(serial, fanned, "serial vs fanned-out Jacobi round counts");
+        }
+        let Ok(o) = &oracle else { return Ok(()) };
+        let mut converged = transit.clone();
+        for (l, &g) in idx.iter().enumerate() {
+            converged.set_row(g, o.smax().row(l));
+        }
+        let cache = InterferenceCache::build(set, cfg, universe, &NoDelta);
+        for comp in partition(set, universe, &cache) {
+            let mut seed = converged.clone();
+            let mut seed_rows = vec![false; set.len()];
+            for &g in &comp {
+                seed.set_row(g, transit.row(g));
+                seed_rows[g] = true;
+            }
+            let mut warm_rounds = Vec::new();
+            for plan in PLANS {
+                let warm = solve_with(set, cfg, universe, &seed, &seed_rows, plan);
+                let Ok((smax, run)) = warm else {
+                    return Err(TestCaseError::fail(format!(
+                        "warm {plan:?} failed where the cold solve converged: {warm:?}",
+                        warm = warm.map(|_| ())
+                    )));
+                };
+                prop_assert_eq!(smax.values(), converged.values(), "warm {:?}", plan);
+                if plan.shape == RunShape::Jacobi {
+                    warm_rounds.push(run.per_round);
+                }
+            }
+            if let [serial, fanned] = &warm_rounds[..] {
+                prop_assert_eq!(serial, fanned, "warm serial vs fanned-out Jacobi");
+            }
+        }
+        Ok(())
+    }
+
+    fn iterated(cfg: &AnalysisConfig) -> bool {
+        cfg.smax_mode == SmaxMode::RecursivePrefix
+    }
+
+    #[test]
+    fn every_plan_matches_the_oracle_on_the_paper_example_everywhere() {
+        let set = paper_example();
+        let universe = vec![true; set.len()];
+        for cfg in config_grid().iter().filter(|c| iterated(c)) {
+            assert_plans_match_oracle(&set, cfg, &universe).unwrap();
+        }
+    }
+
+    #[test]
+    fn every_plan_reports_the_oracle_overload_verdict() {
+        // Utilisation 1.5 on every node: the busy-period guard trips.
+        let set = line_topology(3, 3, 100, 50, 1, 1).unwrap();
+        let universe = vec![true; set.len()];
+        assert_plans_match_oracle(&set, &AnalysisConfig::default(), &universe).unwrap();
+    }
+
+    #[test]
+    fn jacobi_skips_settled_cells_and_gauss_seidel_recomputes_all() {
+        let set = paper_example();
+        let cfg = AnalysisConfig::default();
+        let universe = vec![true; set.len()];
+        let transit = SmaxTable::transit(&set).unwrap();
+        let rows = vec![true; set.len()];
+        let (_, gs) = solve_with(&set, &cfg, &universe, &transit, &rows, PLANS[0]).unwrap();
+        let (_, jac) = solve_with(&set, &cfg, &universe, &transit, &rows, PLANS[1]).unwrap();
+        let cells: usize = set.flows().iter().map(|f| f.path.len() - 1).sum();
+        assert!(gs.per_round.iter().all(|r| r.skipped == 0));
+        assert_eq!(
+            gs.per_round.iter().map(|r| r.recomputed).sum::<usize>(),
+            gs.rounds * cells
+        );
+        assert!(jac.per_round.iter().map(|r| r.skipped).sum::<usize>() > 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn every_plan_matches_the_oracle_on_random_meshes(seed in 0u64..1_000_000) {
+            let p = MeshParams {
+                nodes: 10,
+                flows: 12,
+                max_utilisation: 0.8,
+                ..Default::default()
+            };
+            let set = random_mesh(seed, &p).unwrap();
+            let universe = vec![true; set.len()];
+            for cfg in config_grid().iter().filter(|c| iterated(c)) {
+                assert_plans_match_oracle(&set, cfg, &universe)?;
+            }
+        }
+
+        #[test]
+        fn every_plan_matches_the_oracle_on_fat_trees_across_localities(
+            seed in 0u64..1_000_000,
+            locality_pick in 0usize..3,
+        ) {
+            // locality 1.0: many pod-local components (many small shards);
+            // 0.0: one giant component (a single arena doing all the work).
+            let p = FatTreeParams {
+                pods: 3,
+                flows: 24,
+                locality: [1.0, 0.5, 0.0][locality_pick],
+                ..Default::default()
+            };
+            let set = fat_tree(seed, &p).unwrap();
+            let universe = vec![true; set.len()];
+            assert_plans_match_oracle(&set, &AnalysisConfig::default(), &universe)?;
+        }
+
+        #[test]
+        fn every_plan_matches_the_oracle_on_degraded_topologies(
+            seed in 0u64..1_000_000,
+            fault_pick in 0usize..32,
+        ) {
+            // Rerouted paths, and dropped flows masked out of the universe.
+            let p = FatTreeParams {
+                pods: 3,
+                flows: 18,
+                locality: 0.8,
+                ..Default::default()
+            };
+            let set = fat_tree(seed, &p).unwrap();
+            let nodes = set.network().nodes().to_vec();
+            let scenario = FaultScenario::node_down(nodes[fault_pick % nodes.len()]);
+            let Ok(degraded) = scenario.apply(&set) else {
+                return Ok(());
+            };
+            let universe = degraded.universe();
+            if universe.iter().any(|&alive| alive) {
+                assert_plans_match_oracle(&degraded.set, &AnalysisConfig::default(), &universe)?;
             }
         }
     }

@@ -34,189 +34,6 @@ pub enum ReverseCounting {
     PerCrossingNode,
 }
 
-/// Below this flow count [`FixpointStrategy::Auto`] picks the sequential
-/// Gauss–Seidel sweep: E12 (`BENCH_fixpoint.json`) measured Jacobi *3.6×
-/// slower* than even the pre-cache reference at 5 flows (`speedup:
-/// 0.28`) — the parallel round's fork/join and double-buffering overhead
-/// dwarfs the work when the table is small. At and above the threshold
-/// the parallel Jacobi round wins on scaling (and its dirty-cell
-/// skipping is what makes the survivability warm start incremental).
-pub const AUTO_JACOBI_MIN_FLOWS: usize = 16;
-
-/// Below this flow count [`FixpointStrategy::Auto`] routes
-/// [`crate::analyze_all`] to the retained pre-cache reference engine:
-/// E12 (`BENCH_fixpoint.json`) measured the reference ~2.3–3.5× faster
-/// than both cached strategies at 5 flows (0.022 ms vs 0.050/0.075 ms) —
-/// building the interference skeletons costs more than they save when
-/// the whole fixed point is a handful of cells — while at 10 flows the
-/// reference is already ~2.5× *slower* (0.232 ms vs 0.093 ms). The
-/// threshold sits between those two measured points. Engines that
-/// require the interference cache (warm starts, the EF universe) run
-/// the [`FixpointStrategy::cached_equivalent`] instead.
-pub const AUTO_REFERENCE_MAX_FLOWS: usize = 8;
-
-/// Minimum dirty-worklist size (cells due for evaluation this round)
-/// for which an intra-component Jacobi round fans out across the rayon
-/// pool under [`IntraParallel::Auto`]. Below it the per-round fork/join
-/// costs more than the evaluations it spreads — the same economics as
-/// [`AUTO_JACOBI_MIN_FLOWS`], one level down.
-pub const INTRA_PARALLEL_MIN_CELLS: usize = 512;
-
-/// Whether the Jacobi rounds *inside* one crossing-graph component fan
-/// their cell evaluations out across the rayon pool.
-///
-/// A Jacobi round evaluates every due cell against the frozen previous
-/// table, so the evaluations are independent; the parallel round writes
-/// them into a buffer indexed by worklist position and applies them in
-/// ascending arena order — the exact sequence the serial sweep produces,
-/// hence bit-identical values, telemetry counts, and error selection
-/// (the first erroring cell in arena order wins, evaluated results are
-/// discarded). Orthogonal to the across-component parallelism of
-/// [`ShardMode::Components`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum IntraParallel {
-    /// Parallelise a round only when the pool has more than one thread
-    /// and the round's worklist holds at least
-    /// [`INTRA_PARALLEL_MIN_CELLS`] cells; stay serial otherwise
-    /// (default).
-    #[default]
-    Auto,
-    /// Never fan a round out (serial oracle).
-    Never,
-    /// Fan every Jacobi round out regardless of worklist size or pool
-    /// width — the differential suites force the parallel code path
-    /// with this even on small examples.
-    Always,
-}
-
-/// Iteration scheme of the global `Smax` fixed point.
-///
-/// All schemes iterate the same monotone operator from the same
-/// transit-only seed, so they converge to the same *least* fixed point
-/// and yield bit-identical bounds; they differ only in evaluation order
-/// (see DESIGN.md, "Jacobi vs Gauss–Seidel").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum FixpointStrategy {
-    /// Size-based selection (default): the pre-cache reference engine
-    /// below [`AUTO_REFERENCE_MAX_FLOWS`] flows, Gauss–Seidel below
-    /// [`AUTO_JACOBI_MIN_FLOWS`], Jacobi at or above it. The strategy
-    /// actually chosen is recorded in the run's
-    /// [`crate::telemetry::FixpointTelemetry`].
-    #[default]
-    Auto,
-    /// Each round reads the previous round's full table and writes a new
-    /// one; the per-flow updates of a round are independent and run in
-    /// parallel.
-    Jacobi,
-    /// Updates are applied in place as they are computed, each one
-    /// immediately visible to the next (the historical sequential
-    /// scheme; usually fewer rounds, but inherently serial).
-    GaussSeidel,
-    /// The retained pre-cache engine ([`crate::analyze_all_reference`]):
-    /// no interference skeletons, every round reassembled from scratch.
-    /// Fastest on very small sets, where skeleton construction costs
-    /// more than it saves. Only [`crate::analyze_all`] can honour it
-    /// verbatim (plain FIFO universe, `δ = 0`); cache-based engines run
-    /// [`Self::cached_equivalent`] instead.
-    Reference,
-}
-
-impl FixpointStrategy {
-    /// The concrete scheme to run for a set of `n_flows` flows: `Auto`
-    /// resolves by size, the explicit variants are returned unchanged.
-    /// Never returns `Auto`.
-    pub fn resolve(self, n_flows: usize) -> FixpointStrategy {
-        match self {
-            FixpointStrategy::Auto => {
-                if n_flows < AUTO_REFERENCE_MAX_FLOWS {
-                    FixpointStrategy::Reference
-                } else if n_flows < AUTO_JACOBI_MIN_FLOWS {
-                    FixpointStrategy::GaussSeidel
-                } else {
-                    FixpointStrategy::Jacobi
-                }
-            }
-            explicit => explicit,
-        }
-    }
-
-    /// [`Self::resolve`] refined with run-shape context: whether the run
-    /// is *cold* (every row seeded for recomputation) and how many
-    /// workers the rayon pool offers. Jacobi's two structural advantages
-    /// are its parallelisable rounds (worthless on a one-thread pool) and
-    /// its dirty-cell worklist (worthless on a cold start, where round 1
-    /// touches everything and later rounds shrink for Gauss–Seidel too —
-    /// in-place propagation converges in roughly half the rounds, E19).
-    /// So `Auto` demotes a would-be Jacobi pick to Gauss–Seidel exactly
-    /// when both advantages are absent: a cold run on a single-thread
-    /// pool. Warm starts keep Jacobi regardless of pool width — the
-    /// seeded-skip worklist is what makes re-analysis incremental — and
-    /// explicit choices are never overridden.
-    pub fn resolve_for_run(self, n_flows: usize, cold: bool, pool_threads: usize) -> Self {
-        match self.resolve(n_flows) {
-            FixpointStrategy::Jacobi
-                if self == FixpointStrategy::Auto && cold && pool_threads <= 1 =>
-            {
-                FixpointStrategy::GaussSeidel
-            }
-            resolved => resolved,
-        }
-    }
-
-    /// The nearest strategy an engine that *requires* the interference
-    /// cache can run: [`FixpointStrategy::Reference`] maps to
-    /// Gauss–Seidel (the same sequential in-place sweep the reference
-    /// engine iterates, minus the from-scratch reassembly), everything
-    /// else is unchanged. Warm starts, restricted universes, and `δ`
-    /// providers go through here so telemetry records the scheme that
-    /// actually ran.
-    pub fn cached_equivalent(self) -> FixpointStrategy {
-        match self {
-            FixpointStrategy::Reference => FixpointStrategy::GaussSeidel,
-            other => other,
-        }
-    }
-
-    /// Stable lower-case label for telemetry and benchmark output.
-    pub fn name(self) -> &'static str {
-        match self {
-            FixpointStrategy::Auto => "auto",
-            FixpointStrategy::Jacobi => "jacobi",
-            FixpointStrategy::GaussSeidel => "gauss_seidel",
-            FixpointStrategy::Reference => "reference",
-        }
-    }
-}
-
-/// Whether the `Smax` fixed point decomposes the crossing graph into
-/// connected components and solves each one independently.
-///
-/// Crossing is the only coupling between rows of the fixed point: a
-/// window of flow `i`'s skeleton reads `Smax` of `i` itself and of a
-/// flow crossing `i`'s path, never anything further away. Rows in
-/// different connected components of the crossing graph therefore never
-/// read each other, the equation system is block-diagonal, and each
-/// block's Kleene iteration is an exact projection of the monolithic
-/// one — the per-component solutions are bit-identical to the global
-/// solve (asserted by the sharded differential suite in
-/// `tests/equivalence.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ShardMode {
-    /// Decompose (default): each component is solved independently over
-    /// a struct-of-arrays arena — components run in parallel (largest
-    /// estimated cost first), converged components stop doing *any*
-    /// work, and warm starts skip components containing no re-seeded
-    /// row entirely. A single-component graph still runs the arena
-    /// kernel: its allocation-free dirty-cell worklist beats the
-    /// monolithic loop even without cross-shard parallelism.
-    #[default]
-    Components,
-    /// Always run the monolithic loop over the whole universe (the
-    /// pre-sharding engine; kept as the differential baseline and for
-    /// the `scale_perf` benchmark's speedup denominator).
-    Monolithic,
-}
-
 /// Full analysis configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AnalysisConfig {
@@ -236,19 +53,6 @@ pub struct AnalysisConfig {
     /// (each round is monotone; non-convergence indicates an unschedulable
     /// or overloaded set).
     pub max_smax_rounds: usize,
-    /// Iteration scheme of the `Smax` fixed point; all resolve to the
-    /// same least fixed point. Defaults to [`FixpointStrategy::Auto`],
-    /// which picks by flow count.
-    #[serde(default)]
-    pub fixpoint: FixpointStrategy,
-    /// Component decomposition of the fixed point (see [`ShardMode`]);
-    /// orthogonal to `fixpoint` — the chosen strategy runs per component.
-    #[serde(default)]
-    pub shard_mode: ShardMode,
-    /// Intra-component round parallelism (see [`IntraParallel`]); only
-    /// meaningful for Jacobi rounds under [`ShardMode::Components`].
-    #[serde(default)]
-    pub intra_parallel: IntraParallel,
 }
 
 impl Default for AnalysisConfig {
@@ -260,9 +64,6 @@ impl Default for AnalysisConfig {
             reverse_counting: ReverseCounting::PerFlow,
             max_busy_period: 10_000_000,
             max_smax_rounds: 256,
-            fixpoint: FixpointStrategy::default(),
-            shard_mode: ShardMode::default(),
-            intra_parallel: IntraParallel::default(),
         }
     }
 }
@@ -335,84 +136,23 @@ mod tests {
 
     #[test]
     fn serde_roundtrip() {
-        let c = AnalysisConfig {
-            fixpoint: FixpointStrategy::GaussSeidel,
-            ..AnalysisConfig::paper_calibrated()
-        };
+        let c = AnalysisConfig::paper_calibrated();
         let json = serde_json::to_string(&c).unwrap();
         let back: AnalysisConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back.reverse_counting, c.reverse_counting);
+        assert_eq!(back.min_convention, c.min_convention);
         assert_eq!(back.max_busy_period, c.max_busy_period);
-        assert_eq!(back.fixpoint, FixpointStrategy::GaussSeidel);
     }
 
     #[test]
-    fn fixpoint_field_defaults_when_absent() {
-        // Configs serialised before the `fixpoint` knob existed must keep
-        // deserialising (the field carries `#[serde(default)]`).
-        let json = r#"{"smax_mode":"RecursivePrefix","min_convention":"Visiting","smin_mode":"ProcessingAndLink","reverse_counting":"PerFlow","max_busy_period":10000000,"max_smax_rounds":256}"#;
+    fn configs_carrying_retired_engine_keys_still_load() {
+        // Configs serialised while the fixed point still had its
+        // strategy, sharding and intra-round parallelism keys must keep
+        // deserialising: unknown fields are ignored.
+        let json = r#"{"smax_mode":"RecursivePrefix","min_convention":"ZeroConvention","smin_mode":"ProcessingAndLink","reverse_counting":"PerCrossingNode","max_busy_period":10000000,"max_smax_rounds":256,"fixpoint":"Reference","shard_mode":"Monolithic","intra_parallel":"Always"}"#;
         let back: AnalysisConfig = serde_json::from_str(json).unwrap();
-        assert_eq!(back.fixpoint, FixpointStrategy::Auto);
-        assert_eq!(back.shard_mode, ShardMode::Components);
-        assert_eq!(back.intra_parallel, IntraParallel::Auto);
-    }
-
-    #[test]
-    fn intra_parallel_roundtrips_and_defaults_to_auto() {
-        assert_eq!(
-            AnalysisConfig::default().intra_parallel,
-            IntraParallel::Auto
-        );
-        let c = AnalysisConfig {
-            intra_parallel: IntraParallel::Always,
-            ..AnalysisConfig::default()
-        };
-        let json = serde_json::to_string(&c).unwrap();
-        let back: AnalysisConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.intra_parallel, IntraParallel::Always);
-    }
-
-    #[test]
-    fn shard_mode_roundtrips_and_defaults_to_components() {
-        assert_eq!(AnalysisConfig::default().shard_mode, ShardMode::Components);
-        let c = AnalysisConfig {
-            shard_mode: ShardMode::Monolithic,
-            ..AnalysisConfig::default()
-        };
-        let json = serde_json::to_string(&c).unwrap();
-        let back: AnalysisConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.shard_mode, ShardMode::Monolithic);
-    }
-
-    #[test]
-    fn auto_resolves_by_size_and_explicit_choices_stick() {
-        use FixpointStrategy::*;
-        assert_eq!(Auto.resolve(AUTO_REFERENCE_MAX_FLOWS - 1), Reference);
-        assert_eq!(Auto.resolve(AUTO_REFERENCE_MAX_FLOWS), GaussSeidel);
-        assert_eq!(Auto.resolve(AUTO_JACOBI_MIN_FLOWS - 1), GaussSeidel);
-        assert_eq!(Auto.resolve(AUTO_JACOBI_MIN_FLOWS), Jacobi);
-        assert_eq!(Auto.resolve(0), Reference);
-        for n in [0, 1, AUTO_REFERENCE_MAX_FLOWS, AUTO_JACOBI_MIN_FLOWS, 1000] {
-            assert_eq!(Jacobi.resolve(n), Jacobi);
-            assert_eq!(GaussSeidel.resolve(n), GaussSeidel);
-            assert_eq!(Reference.resolve(n), Reference);
-            assert_ne!(Auto.resolve(n), Auto, "resolve must never return Auto");
-        }
-    }
-
-    #[test]
-    fn cached_equivalent_never_yields_reference() {
-        use FixpointStrategy::*;
-        assert_eq!(Reference.cached_equivalent(), GaussSeidel);
-        assert_eq!(Jacobi.cached_equivalent(), Jacobi);
-        assert_eq!(GaussSeidel.cached_equivalent(), GaussSeidel);
-        assert_eq!(Auto.cached_equivalent(), Auto);
-        for n in [0, 1, AUTO_REFERENCE_MAX_FLOWS, 1000] {
-            assert_ne!(
-                Auto.resolve(n).cached_equivalent(),
-                Reference,
-                "cache-based engines must never claim to run the reference"
-            );
-        }
+        assert_eq!(back.reverse_counting, ReverseCounting::PerCrossingNode);
+        assert_eq!(back.min_convention, MinConvention::ZeroConvention);
+        assert_eq!(back.max_smax_rounds, 256);
     }
 }

@@ -1,17 +1,14 @@
-//! Retained pre-cache reference implementation of the plain FIFO
-//! analysis (Property 2), kept verbatim in behaviour *and* in cost
-//! profile: every `Smax` round reassembles each bound function from
-//! scratch — crossing segments recomputed per call, `M` and `Smin`
-//! terms re-derived, busy periods re-iterated — exactly as the analyzer
-//! did before the [`crate::cache`] module existed.
+//! The independent test oracle: the pre-cache implementation of the
+//! plain FIFO analysis (Property 2). Every `Smax` round reassembles each
+//! bound function from scratch — crossing segments recomputed per call,
+//! `M` and `Smin` terms re-derived, busy periods re-iterated — in one
+//! Gauss–Seidel sweep over the whole set, with none of the production
+//! engine's skeletons, components, arenas or worklists.
 //!
-//! Two consumers:
-//!
-//! * the differential suites (`tests/equivalence.rs`, proptests) assert
-//!   the cached analyzer's bounds are bit-identical to this one on every
-//!   input and configuration;
-//! * the `fixpoint_perf` benchmark measures the cached analyzer's
-//!   speedup against it.
+//! The differential suites (`tests/equivalence.rs`, proptests, the
+//! engine's own unit tests) assert the production analyzer's `Smax`
+//! tables and verdicts are bit-identical to this one on every input and
+//! configuration.
 //!
 //! Only the all-flows FIFO universe with `δ = 0` is reproduced here —
 //! that is what the seed's `analyze_all` did; the EF variant goes
@@ -55,6 +52,11 @@ impl<'a> ReferenceAnalyzer<'a> {
     /// Rounds the fixed point took (0 under `TransitOnly`).
     pub fn smax_rounds(&self) -> usize {
         self.rounds
+    }
+
+    /// The converged `Smax` table.
+    pub fn smax(&self) -> &SmaxTable {
+        &self.smax
     }
 
     /// Worst-case end-to-end response-time bound of one flow.
@@ -254,67 +256,6 @@ pub fn analyze_all_reference(set: &FlowSet, cfg: &AnalysisConfig) -> SetReport {
                 })
                 .collect(),
         ),
-        Err(verdict) => SetReport::new(
-            set.flows()
-                .iter()
-                .map(|f| FlowReport {
-                    flow: f.id,
-                    name: f.name.clone(),
-                    wcrt: verdict.clone(),
-                    jitter: None,
-                    deadline: f.deadline,
-                })
-                .collect(),
-        ),
-    }
-}
-
-/// [`analyze_all_reference`] with [`crate::FixpointTelemetry`] attached:
-/// the engine [`crate::analyze_all`] routes small sets to when
-/// [`crate::FixpointStrategy::Auto`] resolves to
-/// [`crate::FixpointStrategy::Reference`]. The reference sweep has no
-/// per-round instrumentation (it predates the telemetry layer), so
-/// `per_round` is empty; the aggregate numbers are honest.
-pub(crate) fn analyze_all_reference_tracked(set: &FlowSet, cfg: &AnalysisConfig) -> SetReport {
-    use crate::config::FixpointStrategy;
-    use crate::telemetry::FixpointTelemetry;
-    match ReferenceAnalyzer::new(set, cfg) {
-        Ok(an) => {
-            let telemetry = FixpointTelemetry {
-                requested: cfg.fixpoint,
-                chosen: FixpointStrategy::Reference,
-                auto_selected: cfg.fixpoint == FixpointStrategy::Auto,
-                flows: set.len(),
-                cells: set
-                    .flows()
-                    .iter()
-                    .map(|f| f.path.len().saturating_sub(1))
-                    .sum(),
-                rounds: an.smax_rounds(),
-                converged: true,
-                per_round: Vec::new(),
-                components: 0,
-                largest_component: 0,
-                shards: Vec::new(),
-            };
-            SetReport::new(
-                (0..set.len())
-                    .map(|i| {
-                        let f = &set.flows()[i];
-                        let wcrt = an.wcrt(i);
-                        let jitter = wcrt.value().map(|r| jitter_bound(set, f, r));
-                        FlowReport {
-                            flow: f.id,
-                            name: f.name.clone(),
-                            wcrt,
-                            jitter,
-                            deadline: f.deadline,
-                        }
-                    })
-                    .collect(),
-            )
-            .with_telemetry(telemetry)
-        }
         Err(verdict) => SetReport::new(
             set.flows()
                 .iter()

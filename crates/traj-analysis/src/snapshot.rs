@@ -150,6 +150,40 @@ mod tests {
     }
 
     #[test]
+    fn snapshots_carrying_retired_engine_keys_still_restore() {
+        // Snapshots written while the configuration had its fixed-point
+        // strategy, sharding and intra-round parallelism keys, and the
+        // telemetry its requested-strategy fields, must keep loading.
+        let set = paper_example();
+        let cfg = AnalysisConfig::default();
+        let live = ConvergedState::build_ef(&set, &cfg).unwrap();
+        let json = serde_json::to_string(&ConvergedSnapshot::capture(&live)).unwrap();
+        let (rounds, chosen) = ("\"max_smax_rounds\":256", "\"chosen\":");
+        assert_eq!(json.matches(rounds).count(), 1, "{json}");
+        assert_eq!(json.matches(chosen).count(), 1, "{json}");
+        let old = json
+            .replace(
+                rounds,
+                "\"max_smax_rounds\":256,\"fixpoint\":\"Auto\",\
+                 \"shard_mode\":\"Components\",\"intra_parallel\":\"Auto\"",
+            )
+            .replace(
+                chosen,
+                "\"requested\":\"Auto\",\"auto_selected\":true,\"chosen\":",
+            );
+        let snap: ConvergedSnapshot = serde_json::from_str(&old).unwrap();
+        let restored = snap.restore().unwrap();
+        for (a, b) in live
+            .report()
+            .per_flow()
+            .iter()
+            .zip(restored.report().per_flow())
+        {
+            assert_eq!((a.flow, &a.wcrt, &a.jitter), (b.flow, &b.wcrt, &b.jitter));
+        }
+    }
+
+    #[test]
     fn tampered_record_is_rejected() {
         let set = paper_example();
         let cfg = AnalysisConfig::default();

@@ -1,9 +1,8 @@
 //! Convergence telemetry of the `Smax` fixed point.
 //!
-//! The [`crate::Analyzer`] records, for every run, which iteration
-//! strategy was requested and which one actually ran (the two differ
-//! under [`crate::FixpointStrategy::Auto`]), plus one
-//! [`RoundTelemetry`] entry per round: how many cells were recomputed
+//! The [`crate::Analyzer`] records, for every run, which round schedule
+//! ([`RunShape`]) the engine picked, plus one [`RoundTelemetry`] entry
+//! per round: how many cells were recomputed
 //! versus skipped by the dirty-read analysis, how many changed, and the
 //! largest per-cell delta. The aggregate travels on the
 //! [`crate::SetReport`] so batch pipelines can diagnose convergence
@@ -18,7 +17,31 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::config::FixpointStrategy;
+/// Round schedule of one fixed-point run. Both schedules iterate the
+/// same monotone operator from the same seed and reach the same least
+/// fixed point; they differ only in evaluation order (see DESIGN.md,
+/// "Jacobi vs Gauss–Seidel"). The engine picks one per run from the set
+/// size, whether the run is cold, and the pool width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum RunShape {
+    /// Each round reads the previous round's table and applies its
+    /// updates afterwards; only cells reading a changed value are
+    /// re-evaluated, and large rounds fan out across the pool.
+    Jacobi,
+    /// Each update is applied in place and seen by the next one; every
+    /// cell is re-evaluated every round, serially.
+    GaussSeidel,
+}
+
+impl RunShape {
+    /// Stable lower-case label for telemetry and benchmark output.
+    pub fn name(self) -> &'static str {
+        match self {
+            RunShape::Jacobi => "jacobi",
+            RunShape::GaussSeidel => "gauss_seidel",
+        }
+    }
+}
 
 /// One round of the fixed point.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -41,13 +64,8 @@ pub struct RoundTelemetry {
 /// Whole-run convergence record, surfaced on [`crate::SetReport`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FixpointTelemetry {
-    /// Strategy named in the [`crate::AnalysisConfig`].
-    pub requested: FixpointStrategy,
-    /// Strategy that actually ran (never
-    /// [`FixpointStrategy::Auto`]).
-    pub chosen: FixpointStrategy,
-    /// Whether `chosen` came out of the `Auto` size heuristic.
-    pub auto_selected: bool,
+    /// Round schedule the run used.
+    pub chosen: RunShape,
     /// Flows in the analysed set.
     pub flows: usize,
     /// `Smax` cells subject to iteration: in-universe flows' non-ingress
@@ -66,17 +84,15 @@ pub struct FixpointTelemetry {
     pub per_round: Vec<RoundTelemetry>,
     /// Connected components of the crossing graph over the analysis
     /// universe (0 when the decomposition was not computed — under
-    /// [`crate::ShardMode::Monolithic`], `TransitOnly`, or the reference
-    /// engine).
+    /// `TransitOnly`, which skips the fixed point).
     #[serde(default)]
     pub components: usize,
     /// Flow count of the largest component (0 when not decomposed).
     #[serde(default)]
     pub largest_component: usize,
     /// Per-shard solve record, one entry per component the sharded
-    /// solver actually ran (empty under [`crate::ShardMode::Monolithic`]
-    /// or when a warm start skipped every component — single-component
-    /// graphs run the arena solver and record one shard). Ordered by
+    /// solver actually ran (empty when a warm start skipped every
+    /// component; a single-component graph records one shard). Ordered by
     /// first member flow index regardless of the cost-based schedule the
     /// solver executed them in.
     #[serde(default)]
@@ -102,7 +118,7 @@ pub struct ShardTelemetry {
     #[serde(default)]
     pub skipped: usize,
     /// Jacobi rounds whose evaluation fanned out across the rayon pool
-    /// (see [`crate::IntraParallel`]).
+    /// (large worklists on a pool with more than one thread).
     #[serde(default)]
     pub parallel_rounds: usize,
     /// Wall-clock of this component's solve, in microseconds (integral
@@ -129,9 +145,7 @@ mod tests {
     #[test]
     fn serde_roundtrip_preserves_rounds() {
         let t = FixpointTelemetry {
-            requested: FixpointStrategy::Auto,
-            chosen: FixpointStrategy::GaussSeidel,
-            auto_selected: true,
+            chosen: RunShape::GaussSeidel,
             flows: 5,
             cells: 17,
             rounds: 2,

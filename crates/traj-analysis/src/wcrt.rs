@@ -14,11 +14,12 @@ use rayon::prelude::*;
 use traj_model::{CrossDirection, Duration, FlowId, FlowSet, Path, SporadicFlow};
 
 use crate::cache::InterferenceCache;
-use crate::config::{AnalysisConfig, FixpointStrategy, ReverseCounting, SmaxMode};
+use crate::components::RunPlan;
+use crate::config::{AnalysisConfig, ReverseCounting, SmaxMode};
 use crate::jitter::jitter_bound;
 use crate::report::{FlowReport, SetReport, Verdict};
 use crate::smax::SmaxTable;
-use crate::telemetry::{FixpointTelemetry, RoundTelemetry};
+use crate::telemetry::FixpointTelemetry;
 use crate::terms::{BoundFunction, Window};
 use traj_obs::{Event, ScopedTimer};
 
@@ -49,30 +50,14 @@ pub(crate) struct AnalyzerParts {
     pub(crate) full: Vec<Verdict>,
 }
 
-/// Below this many active rows a Jacobi round runs serially — the
-/// per-round rayon dispatch costs more than recomputing a warm start's
-/// small dirty island inline.
-const SERIAL_ROUND_MAX_ROWS: usize = 32;
-
-/// What one fixed-point round did: the last cell changed (`None` on
-/// convergence) plus the counts feeding [`RoundTelemetry`].
-#[derive(Default)]
-struct RoundOutcome {
-    changed: Option<(usize, usize)>,
-    recomputed: usize,
-    skipped: usize,
-    n_changed: usize,
-    max_delta: Duration,
-}
-
 /// Reusable analysis engine for one flow set and configuration.
 ///
 /// Construction does all the heavy lifting once: it freezes the
 /// `Smax`-independent interference structure into an
 /// [`InterferenceCache`], iterates the `Smax` fixed point over it
-/// (Jacobi rounds run flows in parallel), and stores the converged
-/// full-path bounds; [`Self::wcrt`] and [`Self::report`] afterwards are
-/// cheap lookups.
+/// (component by component, see [`crate::components`]), and stores the
+/// converged full-path bounds; [`Self::wcrt`] and [`Self::report`]
+/// afterwards are cheap lookups.
 pub struct Analyzer<'a, D: DeltaProvider = NoDelta> {
     set: &'a FlowSet,
     cfg: &'a AnalysisConfig,
@@ -84,7 +69,7 @@ pub struct Analyzer<'a, D: DeltaProvider = NoDelta> {
     cache: InterferenceCache,
     /// Rounds the `Smax` fixed point took (0 under `TransitOnly`).
     rounds: usize,
-    /// Convergence record of the fixed point (strategy chosen, per-round
+    /// Convergence record of the fixed point (round schedule, per-round
     /// recompute/skip/change counts); attached to [`SetReport`]s built
     /// from this analyzer.
     telemetry: FixpointTelemetry,
@@ -158,13 +143,8 @@ impl<'a, D: DeltaProvider> Analyzer<'a, D> {
         seed_rows: &[bool],
         full_prev: Option<Vec<Option<Verdict>>>,
     ) -> Result<Self, Verdict> {
-        let requested = cfg.fixpoint;
-        // `Reference` (explicit or Auto-selected) has no cache-based
-        // incarnation; run its sequential equivalent and record that.
         let cold = seed_rows.iter().all(|&s| s);
-        let chosen = requested
-            .resolve_for_run(set.len(), cold, rayon::current_num_threads())
-            .cached_equivalent();
+        let plan = RunPlan::pick(set.len(), cold);
         let cells = set
             .flows()
             .iter()
@@ -181,9 +161,7 @@ impl<'a, D: DeltaProvider> Analyzer<'a, D> {
             cache,
             rounds: 0,
             telemetry: FixpointTelemetry {
-                requested,
-                chosen,
-                auto_selected: requested == FixpointStrategy::Auto,
+                chosen: plan.shape,
                 flows: set.len(),
                 cells,
                 rounds: 0,
@@ -198,7 +176,7 @@ impl<'a, D: DeltaProvider> Analyzer<'a, D> {
         };
         if cfg.smax_mode == SmaxMode::RecursivePrefix {
             let _span = ScopedTimer::new("analysis.fixpoint").field("flows", set.len());
-            an.fixpoint_smax(seed_rows)?;
+            an.fixpoint_smax(seed_rows, plan)?;
         }
         // The table is converged (or transit-only): compute every flow's
         // full-path bound once, so report/wcrt calls are lookups. Flows
@@ -247,8 +225,8 @@ impl<'a, D: DeltaProvider> Analyzer<'a, D> {
         self.rounds
     }
 
-    /// Convergence record of this run's fixed point: strategy requested
-    /// vs chosen, per-round recompute/skip/change counts and deltas.
+    /// Convergence record of this run's fixed point: round schedule,
+    /// per-round recompute/skip/change counts and deltas.
     pub fn telemetry(&self) -> &FixpointTelemetry {
         &self.telemetry
     }
@@ -372,139 +350,31 @@ impl<'a, D: DeltaProvider> Analyzer<'a, D> {
         }
     }
 
-    /// Iterates the recursive-prefix `Smax` fixed point to convergence.
-    ///
-    /// Both strategies iterate the same monotone operator from the same
-    /// transit-only seed and therefore converge to the same least fixed
-    /// point (see DESIGN.md); Jacobi evaluates each round against a
-    /// frozen table, which makes the per-flow updates independent and
-    /// parallelisable.
-    fn fixpoint_smax(&mut self, seed_rows: &[bool]) -> Result<(), Verdict> {
-        // Resolved once for the run: `Auto` picks by flow count; the
-        // resolution never yields `Auto` back, so the non-Jacobi branch
-        // below is Gauss–Seidel.
-        let chosen = self.telemetry.chosen;
-        // Component decomposition: the crossing-graph components make
-        // the equation system block-diagonal and the sharded arena
-        // solver runs each block independently (bit-identical values,
-        // see `components`). A single component still runs through the
-        // arena — its flat reads, reusable scratch, and dirty-cell
-        // worklist beat the monolithic loop even without inter-shard
-        // parallelism. Only an empty universe falls through, keeping
-        // the monolithic loop's zero-round telemetry shape.
-        if self.cfg.shard_mode == crate::config::ShardMode::Components {
-            let comps = crate::components::partition(self.set, &self.universe, &self.cache);
-            self.telemetry.components = comps.len();
-            self.telemetry.largest_component = comps.iter().map(Vec::len).max().unwrap_or(0);
-            if traj_obs::enabled() {
-                traj_obs::emit(
-                    Event::new("fixpoint.components")
-                        .field("components", comps.len())
-                        .field("largest", self.telemetry.largest_component)
-                        .field("flows", self.set.len()),
-                );
-            }
-            if !comps.is_empty() {
-                return self.fixpoint_smax_sharded(seed_rows, chosen, &comps);
-            }
+    /// Iterates the recursive-prefix `Smax` fixed point to convergence:
+    /// the crossing-graph components make the equation system
+    /// block-diagonal, and the arena solver runs each block with the
+    /// run's plan (see [`crate::components`]). An empty universe has no
+    /// component and converges without a round.
+    fn fixpoint_smax(&mut self, seed_rows: &[bool], plan: RunPlan) -> Result<(), Verdict> {
+        let comps = crate::components::partition(self.set, &self.universe, &self.cache);
+        self.telemetry.components = comps.len();
+        self.telemetry.largest_component = comps.iter().map(Vec::len).max().unwrap_or(0);
+        if traj_obs::enabled() {
+            traj_obs::emit(
+                Event::new("fixpoint.components")
+                    .field("components", comps.len())
+                    .field("largest", self.telemetry.largest_component)
+                    .field("flows", self.set.len()),
+            );
         }
-        // Entries the previous round changed. A Jacobi update whose
-        // skeleton reads none of them would recompute exactly its
-        // current value, so it is skipped — the fixed point becomes
-        // incremental as convergence localises. Seeded with the rows the
-        // caller marked stale (all of them on a cold start).
-        let mut dirty: Vec<Vec<bool>> = self
-            .set
-            .flows()
-            .iter()
-            .enumerate()
-            .map(|(i, f)| vec![seed_rows[i]; f.path.len()])
-            .collect();
-        // Rows the iteration can ever touch: the seeded rows plus, by
-        // dependency closure over the skeleton windows, every row that
-        // (transitively) reads one of them. On a cold start that is all
-        // rows; on a warm start it degenerates to the caller's stale
-        // closure, so each round dispatches over O(closure) rows instead
-        // of O(flows). Sound because a row outside the set reads only
-        // rows outside the set, whose values the seed left at the
-        // standing fixed point — recomputing it would reproduce the
-        // value it already holds.
-        let active = self.active_rows(seed_rows);
-        let mut last_changed: Option<(usize, usize)> = None;
-        for round in 0..self.cfg.max_smax_rounds {
-            self.rounds = round + 1;
-            let force = if round == 0 { Some(seed_rows) } else { None };
-            let outcome = if chosen == FixpointStrategy::Jacobi {
-                self.round_jacobi(&mut dirty, force, &active)?
-            } else {
-                self.round_gauss_seidel(force)?
-            };
-            self.telemetry.rounds = self.rounds;
-            let rt = RoundTelemetry {
-                round: self.rounds,
-                recomputed: outcome.recomputed,
-                skipped: outcome.skipped,
-                changed: outcome.n_changed,
-                max_delta: outcome.max_delta,
-            };
-            if traj_obs::enabled() {
-                traj_obs::emit(
-                    Event::new("fixpoint.round")
-                        .field("round", rt.round)
-                        .field("recomputed", rt.recomputed)
-                        .field("skipped", rt.skipped)
-                        .field("changed", rt.changed)
-                        .field("max_delta", rt.max_delta),
-                );
-            }
-            self.telemetry.per_round.push(rt);
-            match outcome.changed {
-                None => {
-                    self.telemetry.converged = true;
-                    if traj_obs::enabled() {
-                        traj_obs::emit(
-                            Event::new("fixpoint.converged")
-                                .field("rounds", self.rounds)
-                                .field("strategy", chosen.name())
-                                .field("auto_selected", self.telemetry.auto_selected)
-                                .field("cells", self.telemetry.cells)
-                                .field("recomputed_total", self.telemetry.total_recomputed())
-                                .field("skipped_total", self.telemetry.total_skipped()),
-                        );
-                    }
-                    return Ok(());
-                }
-                Some(cell) => last_changed = Some(cell),
-            }
-        }
-        let (fi, pos) = last_changed.unwrap_or((0, 0));
-        Err(Verdict::Diverged {
-            rounds: self.rounds,
-            worst_cell: (
-                self.set.flows()[fi].id,
-                self.set.flows()[fi].path.nodes()[pos],
-            ),
-        })
-    }
-
-    /// The component-sharded fixed point: every seeded component is
-    /// solved independently over its arena (see [`crate::components`]),
-    /// then the merged round record is surfaced in the monolithic shape
-    /// so downstream telemetry consumers see one coherent run.
-    fn fixpoint_smax_sharded(
-        &mut self,
-        seed_rows: &[bool],
-        chosen: FixpointStrategy,
-        comps: &[Vec<usize>],
-    ) -> Result<(), Verdict> {
         let run = crate::components::solve_sharded(
             self.set,
             self.cfg,
             &self.cache,
             &mut self.smax,
             seed_rows,
-            chosen,
-            comps,
+            plan,
+            &comps,
         )?;
         self.rounds = run.rounds;
         self.telemetry.rounds = run.rounds;
@@ -541,151 +411,13 @@ impl<'a, D: DeltaProvider> Analyzer<'a, D> {
             traj_obs::emit(
                 Event::new("fixpoint.converged")
                     .field("rounds", self.rounds)
-                    .field("strategy", chosen.name())
-                    .field("auto_selected", self.telemetry.auto_selected)
+                    .field("strategy", plan.shape.name())
                     .field("cells", self.telemetry.cells)
                     .field("recomputed_total", self.telemetry.total_recomputed())
                     .field("skipped_total", self.telemetry.total_skipped()),
             );
         }
         Ok(())
-    }
-
-    /// The in-universe rows the Jacobi iteration has to visit: the
-    /// seeded rows plus every row that transitively reads one of them
-    /// through a skeleton window. Computed once per run by saturating
-    /// over the window dependency graph (a row's reads are frozen in its
-    /// skeletons, so the reachable set cannot grow mid-iteration).
-    fn active_rows(&self, seed_rows: &[bool]) -> Vec<usize> {
-        let n = self.set.len();
-        let mut active = seed_rows.to_vec();
-        let mut grew = true;
-        while grew {
-            grew = false;
-            for i in 0..n {
-                if active[i] || !self.universe[i] {
-                    continue;
-                }
-                if self.cache.row_reads_flagged(i, &active) {
-                    active[i] = true;
-                    grew = true;
-                }
-            }
-        }
-        (0..n).filter(|&i| active[i] && self.universe[i]).collect()
-    }
-
-    /// The `Smax` update for one (flow, position): the prefix bound
-    /// through `pre(pos)` plus the incoming link's `Lmax`, evaluated
-    /// against `self.smax` as it currently stands.
-    fn smax_update(&self, fi: usize, pos: usize) -> Result<Duration, Verdict> {
-        let r = match self.wcrt_prefix(fi, pos) {
-            Verdict::Bounded(r) => r,
-            u => return Err(u),
-        };
-        let path = &self.set.flows()[fi].path;
-        let from = path.nodes()[pos - 1];
-        let to = path.nodes()[pos];
-        let val = r + self.set.network().link_delay(from, to).lmax;
-        if val > self.cfg.max_busy_period {
-            return Err(Verdict::unbounded(format!(
-                "Smax of flow {} at node {} exceeds the guard",
-                self.set.flows()[fi].id,
-                to
-            )));
-        }
-        Ok(val)
-    }
-
-    /// One Jacobi round: every update reads the previous round's table,
-    /// so flows are processed in parallel; the new values are applied
-    /// after the whole round. Errors surface in flow-index order to stay
-    /// deterministic regardless of thread scheduling.
-    ///
-    /// `dirty` flags the entries the previous round changed; an update
-    /// whose skeleton reads no dirty entry is skipped (its recomputation
-    /// would reproduce the value it already holds). On return `dirty`
-    /// holds this round's changes. `force` flags flows whose every
-    /// update is computed unconditionally — all flows on a cold start's
-    /// first round, where even a windowless (table-independent) update
-    /// must replace its transit seed once before "no reads changed"
-    /// implies "value unchanged"; only the stale flows on a warm start.
-    fn round_jacobi(
-        &mut self,
-        dirty: &mut [Vec<bool>],
-        force: Option<&[bool]>,
-        active: &[usize],
-    ) -> Result<RoundOutcome, Verdict> {
-        // Per-flow result of the map: recomputed `(pos, value)` pairs
-        // plus the count of skipped cells.
-        type FlowUpdates = Result<(Vec<(usize, Duration)>, usize), Verdict>;
-        let this: &Self = self;
-        let dirty_ro: &[Vec<bool>] = dirty;
-        let per_flow = |fi: usize| -> FlowUpdates {
-            let forced = force.map(|rows| rows[fi]).unwrap_or(false);
-            let len = this.set.flows()[fi].path.len();
-            let mut out = Vec::with_capacity(len.saturating_sub(1));
-            let mut skipped = 0;
-            for pos in 1..len {
-                if !forced && !this.cache.prefix(fi, pos).depends_on_changed(fi, dirty_ro) {
-                    skipped += 1;
-                    continue;
-                }
-                out.push((pos, this.smax_update(fi, pos)?));
-            }
-            Ok((out, skipped))
-        };
-        // A small worklist (a warm start's dirty island) is not worth a
-        // thread-pool dispatch per round.
-        let updates: Vec<FlowUpdates> = if active.len() <= SERIAL_ROUND_MAX_ROWS {
-            active.iter().map(|&fi| per_flow(fi)).collect()
-        } else {
-            active.par_iter().map(|&fi| per_flow(fi)).collect()
-        };
-        for row in dirty.iter_mut() {
-            row.fill(false);
-        }
-        let mut outcome = RoundOutcome::default();
-        for (&fi, res) in active.iter().zip(updates) {
-            let (ups, skipped) = res?;
-            outcome.skipped += skipped;
-            outcome.recomputed += ups.len();
-            for (pos, val) in ups {
-                let old = self.smax.at(fi, pos);
-                if self.smax.set(fi, pos, val) {
-                    dirty[fi][pos] = true;
-                    outcome.changed = Some((fi, pos));
-                    outcome.n_changed += 1;
-                    outcome.max_delta = outcome.max_delta.max(val.saturating_sub(old));
-                }
-            }
-        }
-        Ok(outcome)
-    }
-
-    /// One Gauss–Seidel round: updates are applied in place, each
-    /// immediately visible to the next (the historical scheme). Unlike
-    /// Jacobi it recomputes every in-universe cell regardless of `force`
-    /// — a warm seed still converges (each update stays below the least
-    /// fixed point), it just is not incremental.
-    fn round_gauss_seidel(&mut self, _force: Option<&[bool]>) -> Result<RoundOutcome, Verdict> {
-        let mut outcome = RoundOutcome::default();
-        for fi in 0..self.set.len() {
-            if !self.universe[fi] {
-                continue;
-            }
-            for pos in 1..self.set.flows()[fi].path.len() {
-                let val = self.smax_update(fi, pos)?;
-                outcome.recomputed += 1;
-                let old = self.smax.at(fi, pos);
-                if self.smax.set(fi, pos, val) {
-                    outcome.changed = Some((fi, pos));
-                    outcome.n_changed += 1;
-                    outcome.max_delta = outcome.max_delta.max(val.saturating_sub(old));
-                }
-            }
-        }
-        Ok(outcome)
     }
 
     /// Full report for the flow at `flow_idx`.
@@ -728,16 +460,8 @@ pub(crate) fn segment_points(
 /// Analyses every flow of the set with Property 2 (plain FIFO).
 ///
 /// Flows are analysed in parallel once the shared `Smax` fixed point has
-/// converged. Very small sets (below
-/// [`crate::config::AUTO_REFERENCE_MAX_FLOWS`] under
-/// [`FixpointStrategy::Auto`], or an explicit
-/// [`FixpointStrategy::Reference`]) run the retained pre-cache engine —
-/// measurably faster there, bit-identical everywhere (the differential
-/// suite's contract).
+/// converged.
 pub fn analyze_all(set: &FlowSet, cfg: &AnalysisConfig) -> SetReport {
-    if cfg.fixpoint.resolve(set.len()) == FixpointStrategy::Reference {
-        return crate::reference::analyze_all_reference_tracked(set, cfg);
-    }
     match Analyzer::new(set, cfg) {
         Ok(an) => {
             let reports: Vec<FlowReport> = (0..set.len())
@@ -892,33 +616,6 @@ mod tests {
     }
 
     #[test]
-    fn jacobi_and_gauss_seidel_converge_to_the_same_fixed_point() {
-        // Both strategies iterate the same monotone operator from the
-        // same transit-only seed, so they reach the same least fixed
-        // point: identical Smax tables and identical bounds (Jacobi may
-        // take more rounds).
-        for base in crate::config_grid() {
-            let set = paper_example();
-            let jac = AnalysisConfig {
-                fixpoint: FixpointStrategy::Jacobi,
-                ..base.clone()
-            };
-            let gs = AnalysisConfig {
-                fixpoint: FixpointStrategy::GaussSeidel,
-                ..base.clone()
-            };
-            let an_j = Analyzer::new(&set, &jac).unwrap();
-            let an_g = Analyzer::new(&set, &gs).unwrap();
-            assert_eq!(an_j.smax().values(), an_g.smax().values(), "cfg {base:?}");
-            assert_eq!(
-                analyze_all(&set, &jac).bounds(),
-                analyze_all(&set, &gs).bounds(),
-                "cfg {base:?}"
-            );
-        }
-    }
-
-    #[test]
     fn smax_rounds_are_reported() {
         let set = paper_example();
         let cfg = AnalysisConfig::default();
@@ -932,16 +629,14 @@ mod tests {
     }
 
     #[test]
-    fn auto_strategy_picks_by_size_and_records_the_choice() {
-        // The 5-flow paper example sits below AUTO_JACOBI_MIN_FLOWS: the
-        // default (Auto) config must run Gauss–Seidel and say so.
+    fn small_sets_run_gauss_seidel_and_record_the_choice() {
+        // The 5-flow paper example sits below the Jacobi threshold: the
+        // run must use Gauss–Seidel rounds and say so.
         let set = paper_example();
         let cfg = AnalysisConfig::default();
         let an = Analyzer::new(&set, &cfg).unwrap();
         let t = an.telemetry();
-        assert_eq!(t.requested, FixpointStrategy::Auto);
-        assert_eq!(t.chosen, FixpointStrategy::GaussSeidel);
-        assert!(t.auto_selected);
+        assert_eq!(t.chosen, crate::telemetry::RunShape::GaussSeidel);
         assert!(t.converged);
         assert_eq!(t.flows, 5);
         assert_eq!(t.rounds, an.smax_rounds());
@@ -953,18 +648,7 @@ mod tests {
         let last = t.per_round.last().unwrap();
         assert_eq!(last.changed, 0);
         assert_eq!(last.max_delta, 0);
-        // Explicit strategies are honoured verbatim.
-        let jac = AnalysisConfig {
-            fixpoint: FixpointStrategy::Jacobi,
-            ..cfg.clone()
-        };
-        let tj = Analyzer::new(&set, &jac).unwrap().telemetry().clone();
-        assert_eq!(tj.requested, FixpointStrategy::Jacobi);
-        assert_eq!(tj.chosen, FixpointStrategy::Jacobi);
-        assert!(!tj.auto_selected);
-        // Jacobi's dirty-read analysis skips settled cells in later
-        // rounds; Gauss–Seidel recomputes everything every round.
-        assert!(tj.total_skipped() > 0, "{tj:?}");
+        // Gauss–Seidel recomputes everything every round.
         assert_eq!(t.total_skipped(), 0);
         assert_eq!(t.total_recomputed(), t.rounds * t.cells);
     }
@@ -979,34 +663,6 @@ mod tests {
         let back: SetReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.telemetry(), Some(t));
         assert_eq!(back.bounds(), report.bounds());
-    }
-
-    #[test]
-    fn fixpoint_emits_round_and_convergence_events_when_sink_installed() {
-        let _g = traj_obs::test_guard();
-        let ring = std::sync::Arc::new(traj_obs::RingSink::new(256));
-        traj_obs::set_sink(ring.clone());
-        let set = paper_example();
-        let cfg = AnalysisConfig::default();
-        let an = Analyzer::new(&set, &cfg).unwrap();
-        traj_obs::disable();
-        let events = ring.drain();
-        let rounds = events.iter().filter(|e| e.name == "fixpoint.round").count();
-        assert_eq!(rounds, an.smax_rounds());
-        let conv: Vec<_> = events
-            .iter()
-            .filter(|e| e.name == "fixpoint.converged")
-            .collect();
-        assert_eq!(conv.len(), 1);
-        assert_eq!(
-            conv[0].get("strategy"),
-            Some(&traj_obs::Value::Str("gauss_seidel".into()))
-        );
-        assert!(
-            events.iter().any(|e| e.name == "span"
-                && e.get("name") == Some(&traj_obs::Value::Str("analysis.fixpoint".into()))),
-            "fixpoint span missing"
-        );
     }
 
     #[test]

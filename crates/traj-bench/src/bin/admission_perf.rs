@@ -272,8 +272,7 @@ fn main() {
     );
     // Component sharding (DESIGN.md §11) cut the cold baseline itself
     // ~2x on these clustered instances, so the 5x ratio now needs a
-    // larger standing set; scale_perf (E16) gates the same ratio at
-    // 1000 standing flows.
+    // larger standing set.
     for e in &out.entries {
         if e.flows >= 200 {
             assert!(

@@ -271,11 +271,15 @@ impl Engine {
     pub fn dispatch_line(&self, line: &str) -> String {
         match crate::protocol::parse_request(line) {
             Ok(env) => self.handle(env).to_line(),
-            Err((id, msg)) => {
-                self.shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                Response::err(id, ErrorKind::Protocol, msg).to_line()
-            }
+            Err((id, msg)) => self.protocol_error(id, msg),
         }
+    }
+
+    /// Counts a request the protocol layer rejected and renders its
+    /// typed `protocol` error line (no trailing newline).
+    pub(crate) fn protocol_error(&self, id: Option<i128>, message: impl Into<String>) -> String {
+        self.shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        Response::err(id, ErrorKind::Protocol, message).to_line()
     }
 
     /// Serves one parsed request.

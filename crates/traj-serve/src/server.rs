@@ -7,29 +7,62 @@
 //! is one small line per decision; Nagle would serialise the daemon's
 //! p99 behind 40 ms ACK delays).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::engine::Engine;
 
-/// Serves one connection until EOF, a fatal write error, or daemon
-/// shutdown. Returns the number of requests served.
+/// Longest request line the daemon reads, in bytes, newline excluded.
+/// The largest legitimate request is an `init` carrying a whole flow
+/// set, about 152 KB at 1000 flows; 8 MiB leaves room for sets fifty
+/// times that size while bounding what a client that never sends a
+/// newline can make the daemon buffer. A longer line is answered with a
+/// `protocol` error and the connection is closed.
+pub const MAX_REQUEST_LINE_BYTES: usize = 8 << 20;
+
+/// Serves one connection until EOF, a fatal I/O error, an over-long
+/// request line, or daemon shutdown. Returns the number of requests
+/// served.
 pub fn serve_connection<R: BufRead, W: Write>(
     engine: &Engine,
-    reader: R,
+    mut reader: R,
     mut writer: W,
 ) -> std::io::Result<u64> {
     let mut served = 0u64;
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
+    let mut line = String::new();
+    loop {
+        line.clear();
+        let read = (&mut reader)
+            .take(MAX_REQUEST_LINE_BYTES as u64 + 1)
+            .read_line(&mut line)?;
+        if read == 0 {
+            break;
+        }
+        let request = match line.strip_suffix('\n') {
+            Some(l) => l.strip_suffix('\r').unwrap_or(l),
+            None if read > MAX_REQUEST_LINE_BYTES => {
+                let mut reply = engine.protocol_error(
+                    None,
+                    format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"),
+                );
+                reply.push('\n');
+                writer.write_all(reply.as_bytes())?;
+                writer.flush()?;
+                break;
+            }
+            // The last line of the stream may lack its newline.
+            None => &line,
+        };
+        if request.trim().is_empty() {
             continue;
         }
-        let response = engine.dispatch_line(&line);
-        writer.write_all(response.as_bytes())?;
-        writer.write_all(b"\n")?;
+        // Line and newline in one write: on a `TCP_NODELAY` socket two
+        // writes go out as two segments.
+        let mut reply = engine.dispatch_line(request);
+        reply.push('\n');
+        writer.write_all(reply.as_bytes())?;
         writer.flush()?;
         served += 1;
         if engine.is_stopping() {
@@ -187,6 +220,59 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"pong\":true"));
         assert!(lines[1].contains("\"all_schedulable\":true"));
+        engine.dispatch_line("{\"op\":\"shutdown\"}");
+        engine.join();
+    }
+
+    #[test]
+    fn over_long_request_lines_get_a_protocol_error_and_close() {
+        /// An endless newline-free stream that counts what is pulled.
+        struct Endless {
+            pulled: usize,
+        }
+        impl Read for Endless {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                buf.fill(b' ');
+                self.pulled += buf.len();
+                Ok(buf.len())
+            }
+        }
+        let ac = AdmissionController::new(paper_example(), AnalysisConfig::default());
+        let engine = Engine::start(Some(ac), EngineConfig::default());
+
+        let mut endless = Endless { pulled: 0 };
+        let reader = BufReader::new(&mut endless);
+        let capacity = reader.capacity();
+        let mut out: Vec<u8> = Vec::new();
+        let served = serve_connection(&engine, reader, &mut out).unwrap();
+        assert_eq!(served, 0);
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(
+            text.lines().count(),
+            1,
+            "one reply, then the connection closes"
+        );
+        assert!(text.contains("\"kind\":\"protocol\""), "{text}");
+        assert!(
+            endless.pulled <= MAX_REQUEST_LINE_BYTES + 1 + capacity,
+            "read {} bytes of an endless line",
+            endless.pulled
+        );
+
+        // A line of exactly the cap is still a request, and a fresh
+        // connection is served as usual.
+        let ping = "{\"id\":1,\"op\":\"ping\"}";
+        let mut at_cap = ping.to_string();
+        at_cap.push_str(&" ".repeat(MAX_REQUEST_LINE_BYTES - ping.len()));
+        at_cap.push_str("\n{\"id\":2,\"op\":\"ping\"}\n");
+        let mut out: Vec<u8> = Vec::new();
+        let served = serve_connection(&engine, at_cap.as_bytes(), &mut out).unwrap();
+        assert_eq!(served, 2);
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text.matches("\"pong\":true").count(), 2, "{text}");
+
+        let met = engine.dispatch_line("{\"op\":\"metrics\"}");
+        assert!(met.contains("\"protocol_errors\":1"), "{met}");
         engine.dispatch_line("{\"op\":\"shutdown\"}");
         engine.join();
     }

@@ -13,7 +13,7 @@ use fifo_trajectory::analysis::{
     SmaxMode,
 };
 use fifo_trajectory::model::examples::paper_example;
-use fifo_trajectory::model::gen::{random_mesh, MeshParams};
+use fifo_trajectory::model::gen::{fat_tree, random_mesh, FatTreeParams, MeshParams};
 use fifo_trajectory::model::{FlowId, FlowSet, MinConvention, Path, SporadicFlow};
 use proptest::prelude::*;
 
@@ -174,4 +174,45 @@ fn paper_example_sequence_matches_cold_everywhere() {
     for cfg in config_grid() {
         run_sequence(&set, &cfg, 1).unwrap();
     }
+}
+
+#[test]
+fn warm_extend_matches_cold_at_a_thousand_fat_tree_flows() {
+    // A pod-local candidate on a 1000-flow, 40-pod fat tree: the warm
+    // path re-solves only the candidate's component and reuses every
+    // other one; the result must still be the cold fixed point.
+    let cfg = AnalysisConfig::default();
+    let set = fat_tree(
+        0xF1F0 + 1000,
+        &FatTreeParams {
+            pods: 40,
+            flows: 1000,
+            locality: 1.0,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let standing = ConvergedState::build_ef(&set, &cfg).unwrap();
+    let proto = &set.flows()[0];
+    let cand = SporadicFlow::uniform(
+        90_000,
+        proto.path.clone(),
+        2 * proto.period,
+        proto.costs()[0],
+        0,
+        i64::MAX / 4,
+    )
+    .unwrap();
+    let extended = set.extended_with(cand.clone()).unwrap();
+    let warm = standing.extend(cand).unwrap();
+    assert!(
+        warm.report.per_flow().iter().all(|r| r.wcrt.is_bounded()),
+        "the candidate must keep the set bounded"
+    );
+    assert_reports_identical(
+        &warm.report,
+        &analyze_ef(&extended, &cfg),
+        "1000-flow extend",
+    )
+    .unwrap();
 }

@@ -1,155 +1,29 @@
-//! Differential suite for the intra-component parallel fixed point.
+//! Warm-admission suite for the dirty-cell worklist of the fixed point.
 //!
-//! [`IntraParallel::Always`] forces every shard solve through the
-//! parallel Jacobi path — double-buffered rows, the dirty-cell
-//! worklist, and the arena-index-order merge — regardless of the
-//! cell-count threshold or the worker-pool width. Its results must be
-//! bit-identical to the serial sharded solver ([`IntraParallel::Never`])
-//! and to the monolithic loop on the same set: same `Smax` tables, same
-//! verdicts, same failure classifications. The contract covers cold
-//! analysis, degraded topologies and the warm re-analysis /
-//! admit-release-readmit paths, where the worklist is seeded from the
-//! standing fixed point instead of starting full.
+//! A warm start seeds the Jacobi worklist from the standing fixed point
+//! instead of starting full: only the candidate's dirty closure is
+//! re-solved, and a component holding no seeded row is skipped whole.
+//! Admitting, releasing and re-admitting a flow must land every time on
+//! the fixed point a cold analysis of the then-current set reaches,
+//! bit for bit. The sets here have more than 16 flows, so warm starts
+//! run Jacobi rounds whatever the pool width.
 //!
-//! The explicit `FixpointStrategy::Jacobi` everywhere is load-bearing:
-//! `Auto` resolves to Gauss–Seidel for cold single-threaded runs, which
-//! would silently bypass the code under test.
+//! The forced-parallel vs serial and Jacobi vs Gauss–Seidel identity
+//! checks need an explicit run plan, which is crate-private; they live
+//! in the `traj-analysis` unit tests (`components::tests`), against the
+//! reference oracle, on cold and warm seeds.
 
-use fifo_trajectory::analysis::{
-    analyze_all, analyze_degraded, analyze_ef, config_grid, reanalyze, AnalysisConfig, Analyzer,
-    ConvergedState, FixpointStrategy, IntraParallel, ShardMode,
-};
+use fifo_trajectory::analysis::{analyze_ef, AnalysisConfig, ConvergedState};
 use fifo_trajectory::diffserv::{AdmissionController, AdmissionDecision, ReleaseOutcome};
-use fifo_trajectory::model::gen::{fat_tree, random_mesh, FatTreeParams, MeshParams};
-use fifo_trajectory::model::{FaultScenario, FlowSet, SporadicFlow};
+use fifo_trajectory::model::gen::{fat_tree, FatTreeParams};
+use fifo_trajectory::model::SporadicFlow;
 use proptest::prelude::*;
-
-fn with_parallelism(base: &AnalysisConfig, intra: IntraParallel) -> AnalysisConfig {
-    AnalysisConfig {
-        fixpoint: FixpointStrategy::Jacobi,
-        shard_mode: ShardMode::Components,
-        intra_parallel: intra,
-        ..base.clone()
-    }
-}
-
-/// Forced-parallel vs serial sharded vs monolithic on one set: `Smax`
-/// tables and verdicts must agree bit-for-bit, including which engines
-/// fail and how.
-fn assert_parallel_agrees(set: &FlowSet, base: &AnalysisConfig) -> Result<(), TestCaseError> {
-    let par_cfg = with_parallelism(base, IntraParallel::Always);
-    let ser_cfg = with_parallelism(base, IntraParallel::Never);
-    match (Analyzer::new(set, &par_cfg), Analyzer::new(set, &ser_cfg)) {
-        (Ok(p), Ok(s)) => {
-            prop_assert_eq!(
-                p.smax().values(),
-                s.smax().values(),
-                "Smax tables diverged between forced-parallel and serial"
-            );
-            for i in 0..set.len() {
-                prop_assert_eq!(p.wcrt(i), s.wcrt(i), "wcrt diverged for flow {}", i);
-            }
-        }
-        (Err(pv), Err(sv)) => {
-            prop_assert_eq!(pv, sv, "failure verdicts diverged");
-        }
-        (p, s) => {
-            return Err(TestCaseError::fail(format!(
-                "engines disagree on success: parallel {:?}, serial {:?}",
-                p.map(|_| ()),
-                s.map(|_| ())
-            )));
-        }
-    }
-    let mono_cfg = AnalysisConfig {
-        fixpoint: FixpointStrategy::Jacobi,
-        shard_mode: ShardMode::Monolithic,
-        ..base.clone()
-    };
-    prop_assert_eq!(
-        analyze_all(set, &par_cfg).bounds(),
-        analyze_all(set, &mono_cfg).bounds(),
-        "forced-parallel sharded bounds diverged from the monolithic loop"
-    );
-    Ok(())
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn forced_parallel_matches_serial_and_monolithic_on_random_meshes(
-        seed in 0u64..1_000_000,
-    ) {
-        let p = MeshParams {
-            nodes: 10,
-            flows: 12,
-            max_utilisation: 0.8,
-            ..Default::default()
-        };
-        let set = random_mesh(seed, &p).unwrap();
-        for base in config_grid() {
-            assert_parallel_agrees(&set, &base)?;
-        }
-    }
-
-    #[test]
-    fn forced_parallel_matches_on_fat_trees_across_localities(
-        seed in 0u64..1_000_000,
-        locality_pick in 0usize..3,
-    ) {
-        // locality 1.0: many pod-local components (many small shards);
-        // 0.0: one giant component (a single arena doing all the work).
-        let p = FatTreeParams {
-            pods: 3,
-            flows: 24,
-            locality: [1.0, 0.5, 0.0][locality_pick],
-            ..Default::default()
-        };
-        let set = fat_tree(seed, &p).unwrap();
-        assert_parallel_agrees(&set, &AnalysisConfig::default())?;
-    }
-
-    #[test]
-    fn forced_parallel_matches_on_degraded_topologies_and_warm_reanalysis(
-        seed in 0u64..1_000_000,
-        fault_pick in 0usize..32,
-    ) {
-        let p = FatTreeParams {
-            pods: 3,
-            flows: 18,
-            locality: 0.8,
-            ..Default::default()
-        };
-        let set = fat_tree(seed, &p).unwrap();
-        let nodes = set.network().nodes().to_vec();
-        let scenario = FaultScenario::node_down(nodes[fault_pick % nodes.len()]);
-        let Ok(degraded) = scenario.apply(&set) else {
-            return Ok(());
-        };
-        let base = AnalysisConfig::default();
-        let par_cfg = with_parallelism(&base, IntraParallel::Always);
-        let ser_cfg = with_parallelism(&base, IntraParallel::Never);
-        // Cold degraded analysis, forced-parallel vs serial.
-        let cold_par = analyze_degraded(&degraded, &par_cfg);
-        let cold_ser = analyze_degraded(&degraded, &ser_cfg);
-        for (a, b) in cold_par.per_flow().iter().zip(cold_ser.per_flow()) {
-            prop_assert_eq!(&a.wcrt, &b.wcrt, "degraded wcrt diverged");
-            prop_assert_eq!(&a.jitter, &b.jitter, "degraded jitter diverged");
-        }
-        // Warm re-analysis under forced parallelism: the seeded worklist
-        // must land on the same fixed point the cold serial run reaches.
-        if let Ok(healthy) = Analyzer::new(&set, &par_cfg) {
-            let re = reanalyze(&healthy, &degraded, &par_cfg);
-            for (a, b) in re.report.per_flow().iter().zip(cold_ser.per_flow()) {
-                prop_assert_eq!(&a.wcrt, &b.wcrt, "warm parallel wcrt diverged");
-                prop_assert_eq!(&a.jitter, &b.jitter, "warm parallel jitter diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn forced_parallel_warm_admission_matches_cold(seed in 0u64..1_000_000) {
+    fn warm_admission_matches_cold_on_fat_trees(seed in 0u64..1_000_000) {
         let p = FatTreeParams {
             pods: 3,
             flows: 24,
@@ -157,7 +31,7 @@ proptest! {
             ..Default::default()
         };
         let set = fat_tree(seed, &p).unwrap();
-        let cfg = with_parallelism(&AnalysisConfig::default(), IntraParallel::Always);
+        let cfg = AnalysisConfig::default();
         let Ok(standing) = ConvergedState::build_ef(&set, &cfg) else {
             return Ok(());
         };
@@ -186,8 +60,7 @@ proptest! {
 /// Regression: the dirty-row worklist carried across warm solves must
 /// not leak state between an admit, the matching release, and a
 /// re-admit of the same flow. Each step's warm bounds are pinned
-/// against a cold analysis of the then-current set, under forced
-/// parallelism so the worklist path is the one being exercised.
+/// against a cold analysis of the then-current set.
 #[test]
 fn worklist_state_survives_admit_release_readmit_cycles() {
     let p = FatTreeParams {
@@ -197,7 +70,7 @@ fn worklist_state_survives_admit_release_readmit_cycles() {
         ..Default::default()
     };
     let set = fat_tree(0xAD417, &p).unwrap();
-    let cfg = with_parallelism(&AnalysisConfig::default(), IntraParallel::Always);
+    let cfg = AnalysisConfig::default();
     let mut ac = AdmissionController::new(set.clone(), cfg.clone());
 
     let proto = &set.flows()[0];
