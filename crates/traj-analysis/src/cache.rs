@@ -33,6 +33,7 @@
 //! asserted term-by-term by `skeletons_match_direct_assembly` below and
 //! end-to-end by the differential suite in `tests/equivalence.rs`.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use rayon::prelude::*;
@@ -130,21 +131,6 @@ impl PrefixSkeleton {
                 .map(Some),
             None => Ok(None),
         }
-    }
-
-    /// A copy with every window's crosser index shifted across the
-    /// removal of set index `removed` (see
-    /// [`InterferenceCache::shrink_for`]). Only valid for skeletons that
-    /// hold no window on the removed flow itself — guaranteed for clean
-    /// rows, whose owner the removed flow did not cross.
-    fn remapped_over_removal(&self, removed: usize) -> PrefixSkeleton {
-        let mut out = self.clone();
-        for w in &mut out.windows {
-            if w.j_idx > removed {
-                w.j_idx -= 1;
-            }
-        }
-        out
     }
 }
 
@@ -259,16 +245,17 @@ struct Hoisted {
 /// universe: `skeletons[flow][k-1]` covers the prefix of the first `k`
 /// nodes of that flow's path, `k ∈ 1..=path.len()`.
 ///
-/// Rows are `Arc`-shared so the delta constructors (`rebuild_for`,
-/// `extend_for`) reuse a clean flow's row by bumping a refcount instead
-/// of deep-cloning its skeleton vectors — the warm-start admission path
+/// Rows are `Arc`-shared so the delta constructor
+/// ([`InterferenceCache::delta_for`]) reuses a clean flow's row by
+/// bumping a refcount instead of deep-cloning its skeleton vectors
+/// (unless a removal renumbers it) — the warm-start admission path
 /// touches O(closure) rows, not O(flows). Rows are never mutated after
 /// construction, so sharing is safe.
 #[derive(Debug, Clone)]
 pub(crate) struct InterferenceCache {
     prefixes: Vec<Arc<Vec<PrefixSkeleton>>>,
     /// `Smin` per (flow, path position) — a pure function of the flow's
-    /// own path and the network, kept so the delta constructors can
+    /// own path and the network, kept so the delta constructor can
     /// reuse a clean flow's row instead of recomputing the whole table.
     smin: Vec<Arc<Vec<Duration>>>,
 }
@@ -308,7 +295,7 @@ impl InterferenceCache {
         universe: &[bool],
         delta: &D,
         smin: &[Arc<Vec<Duration>>],
-        node_index: &std::collections::HashMap<NodeId, Vec<usize>>,
+        node_index: &HashMap<NodeId, Vec<usize>>,
         flow_idx: usize,
     ) -> Vec<PrefixSkeleton> {
         let fi = &set.flows()[flow_idx];
@@ -351,128 +338,85 @@ impl InterferenceCache {
             .sum()
     }
 
-    /// Rebuilds only the rows flagged in `stale`, cloning the rest from
-    /// `healthy`. Sound when, for every non-stale flow, neither its path
-    /// nor the paths and universe membership of any flow crossing it
-    /// changed between the two sets — exactly the closure invariant the
-    /// survivability engine's dirty propagation establishes: a clean
-    /// flow's skeleton is a pure function of quantities that fault
-    /// application left untouched, so the healthy row is bit-identical
-    /// to what a fresh build would produce (asserted by the fault
-    /// differential suite).
-    pub(crate) fn rebuild_for<D: DeltaProvider>(
-        healthy: &InterferenceCache,
-        set: &FlowSet,
-        cfg: &AnalysisConfig,
-        universe: &[bool],
-        delta: &D,
-        stale: &[bool],
-    ) -> Self {
-        let smin = Self::smin_rows(set, cfg, stale, |i| Some(&healthy.smin[i]));
-        let node_index = set.node_flow_index();
-        let build = |flow_idx: usize| {
-            if !stale[flow_idx] {
-                return Arc::clone(&healthy.prefixes[flow_idx]);
-            }
-            Arc::new(Self::build_row(
-                set,
-                cfg,
-                universe,
-                delta,
-                &smin,
-                &node_index,
-                flow_idx,
-            ))
-        };
-        let prefixes = Self::rows_for(set.len(), stale, build);
-        InterferenceCache { prefixes, smin }
-    }
-
-    /// Delta extension for admission: `set` is `standing`'s set plus
-    /// appended flows (the candidate last), `stale` flags — over the
-    /// *extended* index space — the rows to build fresh; every other row
-    /// is cloned from `standing` at the same index.
+    /// The cache of a changed set, built from `standing`'s. `moved[i]`
+    /// is the index in `set` of standing flow `i` (`None` when it was
+    /// removed); `rebuilt` flags, over `set`, the rows to build fresh.
+    /// Every other row is carried over from `standing`.
     ///
-    /// Appending keeps every standing flow's set index, so the cloned
-    /// skeletons' `j_idx` references stay valid verbatim. Soundness of
-    /// the cloning is the usual closure invariant: a clean flow's
-    /// skeleton depends only on its own path, the paths/parameters of
-    /// flows crossing it, and their universe membership — none of which
-    /// an appended non-crossing candidate changes. Indices at or beyond
-    /// the standing cache's length are built fresh regardless of their
-    /// flag (there is nothing to clone).
-    pub(crate) fn extend_for<D: DeltaProvider>(
+    /// Sound when no carried flow's skeleton inputs changed: its own
+    /// path, the paths and parameters of the flows crossing it and
+    /// their universe membership. The delta closure guarantees it by
+    /// flagging every flow that shares a node with a removed, replaced
+    /// or appended path. A carried row's windows name their crossers by
+    /// standing index; when no standing flow changed index (nothing
+    /// removed, or only a tail) the row is shared as is, otherwise its
+    /// windows are renumbered through `moved`. A window on a flow that
+    /// did not survive cannot occur in a carried row; should one
+    /// appear, the row is built fresh instead.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn delta_for<D: DeltaProvider>(
         standing: &InterferenceCache,
         set: &FlowSet,
         cfg: &AnalysisConfig,
         universe: &[bool],
         delta: &D,
-        stale: &[bool],
+        rebuilt: &[bool],
+        moved: &[Option<usize>],
+        node_index: &HashMap<NodeId, Vec<usize>>,
     ) -> Self {
-        let n_standing = standing.prefixes.len();
-        let smin = Self::smin_rows(set, cfg, stale, |i| standing.smin.get(i));
-        let node_index = set.node_flow_index();
+        let mut old_of: Vec<Option<usize>> = vec![None; set.len()];
+        for (old, new) in moved.iter().enumerate() {
+            if let Some(slot) = new.and_then(|k| old_of.get_mut(k)) {
+                *slot = Some(old);
+            }
+        }
+        let renumber = moved
+            .iter()
+            .enumerate()
+            .any(|(old, new)| new.is_some_and(|k| k != old));
+        let carried = |flow_idx: usize| match old_of[flow_idx] {
+            Some(old) if !rebuilt[flow_idx] => Some(old),
+            _ => None,
+        };
+        let smin: Vec<Arc<Vec<Duration>>> = set
+            .flows()
+            .iter()
+            .enumerate()
+            .map(|(i, fj)| match carried(i) {
+                Some(old) => Arc::clone(&standing.smin[old]),
+                None => Arc::new(Self::smin_row(set, cfg, fj)),
+            })
+            .collect();
         let build = |flow_idx: usize| {
-            if flow_idx < n_standing && !stale[flow_idx] {
-                return Arc::clone(&standing.prefixes[flow_idx]);
+            if let Some(old) = carried(flow_idx) {
+                let row = &standing.prefixes[old];
+                if !renumber {
+                    return Arc::clone(row);
+                }
+                if let Some(row) = Self::renumbered(row, moved) {
+                    return Arc::new(row);
+                }
             }
             Arc::new(Self::build_row(
-                set,
-                cfg,
-                universe,
-                delta,
-                &smin,
-                &node_index,
-                flow_idx,
+                set, cfg, universe, delta, &smin, node_index, flow_idx,
             ))
         };
-        let prefixes = Self::rows_for(set.len(), stale, build);
+        let prefixes = Self::rows_for(set.len(), rebuilt, build);
         InterferenceCache { prefixes, smin }
     }
 
-    /// Delta shrink for teardown: `set` is `standing`'s set with the
-    /// flow at standing index `removed` taken out (indices above it
-    /// shifted down by one), `stale` flags — over the *shrunk* index
-    /// space — the rows to build fresh.
-    ///
-    /// Clean rows are cloned with their window `j_idx` references
-    /// remapped across the removal gap. A clean flow cannot hold a
-    /// window on the removed flow itself (a window means the removed
-    /// flow crossed it, which makes it stale by construction of the
-    /// removal closure), so the remap is a pure index shift.
-    pub(crate) fn shrink_for<D: DeltaProvider>(
-        standing: &InterferenceCache,
-        set: &FlowSet,
-        cfg: &AnalysisConfig,
-        universe: &[bool],
-        delta: &D,
-        stale: &[bool],
-        removed: usize,
-    ) -> Self {
-        let old_idx = |i: usize| if i < removed { i } else { i + 1 };
-        let smin = Self::smin_rows(set, cfg, stale, |i| Some(&standing.smin[old_idx(i)]));
-        let node_index = set.node_flow_index();
-        let build = |flow_idx: usize| {
-            if !stale[flow_idx] {
-                return Arc::new(
-                    standing.prefixes[old_idx(flow_idx)]
-                        .iter()
-                        .map(|sk| sk.remapped_over_removal(removed))
-                        .collect::<Vec<_>>(),
-                );
-            }
-            Arc::new(Self::build_row(
-                set,
-                cfg,
-                universe,
-                delta,
-                &smin,
-                &node_index,
-                flow_idx,
-            ))
-        };
-        let prefixes = Self::rows_for(set.len(), stale, build);
-        InterferenceCache { prefixes, smin }
+    /// A carried row with every window's crosser renumbered through
+    /// `moved`; `None` when a window names a flow that did not survive.
+    fn renumbered(row: &[PrefixSkeleton], moved: &[Option<usize>]) -> Option<Vec<PrefixSkeleton>> {
+        row.iter()
+            .map(|sk| {
+                let mut sk = sk.clone();
+                for w in &mut sk.windows {
+                    w.j_idx = moved.get(w.j_idx).copied().flatten()?;
+                }
+                Some(sk)
+            })
+            .collect()
     }
 
     /// `Smin` per (flow, path position), shared by every window's
@@ -492,38 +436,16 @@ impl InterferenceCache {
             .collect()
     }
 
-    /// The `Smin` table for a delta construction: clean flows reuse the
-    /// prior row handed back by `prior` (their paths and the network are
-    /// unchanged — the closure invariant again), stale or new flows
-    /// recompute. `prior` returning `None` (an appended flow has no
-    /// prior row) also recomputes.
-    fn smin_rows<'p>(
-        set: &FlowSet,
-        cfg: &AnalysisConfig,
-        stale: &[bool],
-        prior: impl Fn(usize) -> Option<&'p Arc<Vec<Duration>>>,
-    ) -> Vec<Arc<Vec<Duration>>> {
-        set.flows()
-            .iter()
-            .enumerate()
-            .map(|(i, fj)| match prior(i) {
-                Some(row) if !stale.get(i).copied().unwrap_or(true) => Arc::clone(row),
-                _ => Arc::new(Self::smin_row(set, cfg, fj)),
-            })
-            .collect()
-    }
-
     /// Maps `build` over all row indices — in parallel when enough rows
-    /// are flagged stale to pay for the dispatch, serially otherwise
+    /// are flagged fresh to pay for the dispatch, serially otherwise
     /// (the warm-start path rebuilds a handful of rows; the rest are
-    /// refcount bumps that need no thread pool).
+    /// refcount bumps or copies that need no thread pool).
     fn rows_for(
         n: usize,
-        stale: &[bool],
+        fresh: &[bool],
         build: impl Fn(usize) -> Arc<Vec<PrefixSkeleton>> + Sync,
     ) -> Vec<Arc<Vec<PrefixSkeleton>>> {
-        let fresh = stale.iter().filter(|&&s| s).count() + n.saturating_sub(stale.len());
-        if fresh <= SERIAL_REBUILD_MAX_ROWS {
+        if fresh.iter().filter(|&&f| f).count() <= SERIAL_REBUILD_MAX_ROWS {
             (0..n).map(build).collect()
         } else {
             (0..n).into_par_iter().map(build).collect()
@@ -544,7 +466,7 @@ impl InterferenceCache {
         set: &'s FlowSet,
         fi: &SporadicFlow,
         universe: &[bool],
-        node_index: &std::collections::HashMap<NodeId, Vec<usize>>,
+        node_index: &HashMap<NodeId, Vec<usize>>,
     ) -> Vec<FullCrosser<'s>> {
         let path_len = fi.path.len();
         let mut candidates: Vec<usize> = fi

@@ -1,46 +1,49 @@
-//! Incremental warm-start admission analysis: what-if evaluation of a
-//! candidate flow against a standing converged EF solution, redoing
-//! only the work the candidate actually perturbs.
+//! Incremental warm-start analysis: a converged EF solution carried
+//! across changes to its flow set, redoing only the work a change
+//! actually perturbs.
 //!
-//! # Delta strategy
+//! # One delta
 //!
-//! Admitting a flow *appends* it to the standing set, so every standing
-//! flow keeps its index and three reuse layers apply to any flow
-//! outside the candidate's dirty closure (the transitive closure of
-//! "shares a node" over the crossing graph, seeded at the candidate —
-//! [`addition_dirty_closure`]):
+//! Every change goes through [`ConvergedState::apply`] with a
+//! [`FlowDelta`]: remove these ids, replace these flows (same id, new
+//! path), append these flows. Admission is a pure append
+//! ([`ConvergedState::extend`], [`ConvergedState::extend_many`]),
+//! teardown a removal ([`ConvergedState::remove`]), and a fault removes
+//! the dropped flows and replaces the rerouted ones in one delta.
 //!
-//! * **skeletons** — its interference structure (crossing segments,
-//!   alignment bases, `M` terms, busy periods, Lemma 4 `δ`) is a pure
-//!   function of its own path and of the flows crossing it, none of
-//!   which changed: the cache row is cloned verbatim
-//!   ([`InterferenceCache::extend_for`]);
-//! * **fixed-point rows** — its standing `Smax` row reads only clean
-//!   cells, so it already satisfies the extended equation system
-//!   exactly and seeds the warm start as-is; dirty rows restart at
-//!   their transit floor, below the least fixed point, so Kleene
-//!   iteration converges to the *same* least fixed point a cold start
-//!   reaches and the resulting bounds are **bit-identical** to
-//!   [`crate::analyze_ef`] on the extended set (asserted by the
-//!   admission differential suite in `tests/admission_incremental.rs`);
-//! * **full-path verdicts** — its converged end-to-end bound is a pure
-//!   function of the two layers above, so the standing verdict is
-//!   reused instead of re-maximised.
+//! The delta's closure has two grades over the new set:
 //!
-//! Lemma 4's `δᵢ` is covered by the same closure: `δᵢ` depends only on
-//! flows crossing `τᵢ`'s path, and a crossing candidate puts `τᵢ` in
-//! the closure (the skeleton, `δ` included, is then rebuilt).
+//! * **rebuilt** — the appended and replaced flows plus every flow
+//!   sharing a node with an appended or replaced flow's new path, or
+//!   with a removed or replaced flow's old path. Only these have new
+//!   interference structure (windows, `M` terms, busy periods, Lemma
+//!   4's `δ`); every other skeleton row is carried over
+//!   ([`InterferenceCache::delta_for`]).
+//! * **stale** — the transitive closure of *rebuilt* over the new
+//!   set's crossing graph. Only these can have a different `Smax` row
+//!   or full-path verdict; everything outside is reused as it stands,
+//!   because a clean flow's crossing-graph component is the same in
+//!   the old and new sets.
 //!
-//! Teardown ([`ConvergedState::remove`]) is the mirror image with one
-//! twist: removal shifts indices, so cloned skeletons are remapped over
-//! the gap and clean `Smax` rows are copied across the index shift.
+//! The warm seed is derived from the delta's content. A pure append
+//! only adds interference, which is monotone: the standing table is
+//! pointwise ≤ the extended least fixed point, so every standing row
+//! starts at its standing value (a pre-fixpoint) and only the rebuilt
+//! rows are forced through the first round. A delta that removes or
+//! replaces flows can move values *down*, so stale rows restart at their
+//! transit floor, below the least fixed point, and all of them are
+//! forced. Either way Kleene iteration converges to the same least fixed
+//! point a cold start reaches, and the bounds are **bit-identical** to
+//! [`ConvergedState::build_ef`] of the new set (asserted by
+//! `tests/admission_incremental.rs` and `tests/equivalence.rs`).
 //!
-//! Structural invalidation (an extension the model rejects, a transit
-//! seed overflow, a diverging fixed point) degrades to the typed error
-//! report or to `None` state — callers fall back to the cold analysis;
-//! nothing panics.
+//! Structural invalidation (a delta the model rejects, a transit seed
+//! overflow, a diverging fixed point) degrades to the typed error or to
+//! an error report with no state; nothing panics.
 
-use traj_model::{FlowId, FlowSet, ModelError, SporadicFlow};
+use std::collections::HashMap;
+
+use traj_model::{FlowId, FlowSet, ModelError, NodeId, SporadicFlow};
 
 use crate::cache::InterferenceCache;
 use crate::config::AnalysisConfig;
@@ -56,13 +59,12 @@ use crate::wcrt::Analyzer;
 ///
 /// This is the self-owned counterpart of a borrowed
 /// [`Analyzer`]: the admission controller holds one across
-/// `try_admit`/`release` calls and extends or shrinks it instead of
-/// re-analysing from scratch.
+/// `try_admit`/`release`/`on_fault` calls and applies each change to it
+/// instead of re-analysing from scratch.
 #[derive(Debug, Clone)]
 pub struct ConvergedState {
     set: FlowSet,
     cfg: AnalysisConfig,
-    universe: Vec<bool>,
     cache: InterferenceCache,
     smax: SmaxTable,
     rounds: usize,
@@ -71,30 +73,42 @@ pub struct ConvergedState {
     report: SetReport,
 }
 
-/// Outcome of a warm what-if extension: the EF report on the extended
-/// set, the dirty-closure bookkeeping, and — when the analysis bounded
-/// — the extended converged state ready to commit.
+/// One change to a converged set: the flows to remove by id, the flows
+/// to replace (same id, new path; they keep their position), and the
+/// flows to append. See [`ConvergedState::apply`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FlowDelta<'a> {
+    /// Ids of the flows to take out.
+    pub remove: &'a [FlowId],
+    /// New versions of standing flows, matched by id.
+    pub replace: &'a [SporadicFlow],
+    /// Flows to add at the end of the set.
+    pub append: &'a [SporadicFlow],
+}
+
+/// Outcome of a warm delta: the EF report on the new set, the closure
+/// bookkeeping, and — when the analysis bounded — the new converged
+/// state ready to commit.
 #[derive(Debug, Clone)]
 pub struct EfWhatIf {
-    /// Property 3 report over the extended set, bit-identical to
+    /// Property 3 report over the new set, bit-identical to
     /// [`crate::analyze_ef`] on the same set and configuration.
     pub report: SetReport,
-    /// The dirty closure over the extended index space: flows whose
-    /// skeleton and `Smax` row were recomputed (the candidate is always
-    /// stale). Everything else was reused from the standing solution.
+    /// The stale closure over the new index space: flows whose `Smax`
+    /// row and verdict were recomputed (appended and replaced flows are
+    /// always stale). Everything else was reused from the standing
+    /// solution.
     pub stale: Vec<bool>,
     /// Rounds the warm-started fixed point took.
     pub rounds: usize,
-    /// The extended converged state, `Some` whenever the fixed point
-    /// bounded (even if some flow misses its deadline — admission
-    /// policy is the caller's call). `None` on structural invalidation:
-    /// commit is impossible, fall back to cold analysis if needed.
+    /// The new converged state, `Some` whenever the fixed point bounded
+    /// (even if some flow misses its deadline — admission policy is the
+    /// caller's call). `None` on structural invalidation.
     state: Option<ConvergedState>,
 }
 
 impl EfWhatIf {
-    /// Number of flows recomputed (the dirty closure size, candidate
-    /// included).
+    /// Number of flows recomputed (the stale closure size).
     pub fn recomputed(&self) -> usize {
         self.stale.iter().filter(|s| **s).count()
     }
@@ -104,7 +118,7 @@ impl EfWhatIf {
         self.stale.iter().filter(|s| !**s).count()
     }
 
-    /// The extended converged state, when the analysis bounded.
+    /// The new converged state, when the analysis bounded.
     pub fn state(&self) -> Option<&ConvergedState> {
         self.state.as_ref()
     }
@@ -122,7 +136,8 @@ impl EfWhatIf {
 /// *bit-identical* to a cold [`crate::analyze_ef`] of the same set —
 /// not approximately equal, the same integers. This audit recomputes
 /// the cold reference and diffs every per-flow verdict; the soak engine
-/// runs it as a periodic spot check over hours of churn.
+/// runs it as a periodic spot check over hours of churn and after every
+/// fault storm.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BitIdentityAudit {
     /// Flows compared.
@@ -164,7 +179,6 @@ impl ConvergedState {
         ConvergedState {
             set,
             cfg,
-            universe: parts.universe,
             cache: parts.cache,
             smax: parts.smax,
             rounds: parts.rounds,
@@ -206,8 +220,7 @@ impl ConvergedState {
     /// scratch and compares every flow's `wcrt` verdict and jitter
     /// bound with the standing warm report. The incremental engine
     /// guarantees bit-identity, so any mismatch is a bug; the soak
-    /// harness runs this as a periodic spot check and treats a
-    /// non-empty mismatch list as a hard failure.
+    /// harness treats a non-empty mismatch list as a hard failure.
     pub fn verify_bit_identity(&self) -> BitIdentityAudit {
         let cold = crate::analyze_ef(&self.set, &self.cfg);
         let mismatches = self
@@ -228,35 +241,45 @@ impl ConvergedState {
     /// without committing anything. `Err` means the extension is
     /// structurally invalid (duplicate id, unknown node, …) — the
     /// candidate can never be admitted as modelled.
-    ///
-    /// Only the candidate's transitive dirty closure is re-solved; see
-    /// the module docs for why the result is bit-identical to a cold
-    /// [`crate::analyze_ef`] of the extended set.
     pub fn extend(&self, candidate: SporadicFlow) -> Result<EfWhatIf, ModelError> {
         self.extend_many(std::slice::from_ref(&candidate))
     }
 
-    /// Warm what-if over a *batch* of candidates: the standing set
-    /// extended with all of `candidates` at once, solved with **one**
-    /// warm fixed point instead of one per candidate.
-    ///
-    /// This is the settlement primitive behind the tiered admission
-    /// fast path: a burst of screen-admitted flows is folded into the
-    /// converged state in a single solve. The dirty-closure machinery
-    /// ([`direct_extension_crossers`], [`addition_dirty_closure`])
-    /// already ranges over `appended_from..`, and appending preserves
-    /// every standing index, so the construction is the `extend` code
-    /// verbatim with the append loop generalised — and the result is
-    /// bit-identical both to a cold [`crate::analyze_ef`] of the
-    /// extended set and to chaining single `extend` commits (asserted
-    /// by the admission differential suites).
-    ///
-    /// An empty batch returns the standing state unchanged. `Err` when
-    /// any candidate makes the extension structurally invalid; the
-    /// whole batch is rejected (callers settle one by one to attribute
-    /// the failure).
+    /// Warm what-if over a *batch* of candidates appended at once,
+    /// solved with **one** warm fixed point instead of one per
+    /// candidate; bit-identical both to a cold analysis of the extended
+    /// set and to chaining single `extend` commits. An empty batch
+    /// returns the standing state unchanged. `Err` when any candidate
+    /// makes the extension structurally invalid; the whole batch is
+    /// rejected.
     pub fn extend_many(&self, candidates: &[SporadicFlow]) -> Result<EfWhatIf, ModelError> {
-        if candidates.is_empty() {
+        self.apply(FlowDelta {
+            append: candidates,
+            ..FlowDelta::default()
+        })
+    }
+
+    /// Warm teardown: the standing state with flow `id` removed.
+    ///
+    /// `None` when `id` is not in the set, removing it would empty the
+    /// set, or the shrunk fixed point failed — the caller then rebuilds
+    /// cold (or drops the state).
+    pub fn remove(&self, id: FlowId) -> Option<ConvergedState> {
+        self.apply(FlowDelta {
+            remove: &[id],
+            ..FlowDelta::default()
+        })
+        .ok()?
+        .into_state()
+    }
+
+    /// Applies `delta` warm: only the delta's stale closure is re-solved
+    /// (see the module docs), and the report is bit-identical to a cold
+    /// analysis of the new set. An empty delta returns the standing
+    /// state unchanged. `Err` when the model rejects the new set
+    /// ([`FlowSet::with_delta`]).
+    pub fn apply(&self, delta: FlowDelta<'_>) -> Result<EfWhatIf, ModelError> {
+        if delta.remove.is_empty() && delta.replace.is_empty() && delta.append.is_empty() {
             return Ok(EfWhatIf {
                 report: self.report.clone(),
                 stale: vec![false; self.set.len()],
@@ -264,91 +287,65 @@ impl ConvergedState {
                 state: Some(self.clone()),
             });
         }
-        let n = self.set.len();
-        let mut extended = self.set.extended_with(candidates[0].clone())?;
-        for c in &candidates[1..] {
-            extended = extended.extended_with(c.clone())?;
-        }
-        let mut universe = self.universe.clone();
-        for f in &extended.flows()[n..] {
-            universe.push(f.class.is_ef());
-        }
-        // Two invalidation grades. `rebuilt` — the candidate plus the
-        // standing flows it *directly* crosses — is where interference
-        // structure changes: new windows, `M` terms, `δ`. `stale` — the
-        // transitive closure — is where `Smax` values (hence verdicts)
-        // may move: a flow crossing a rebuilt flow reads its rows even
-        // though its own skeleton is untouched. Skeletons rebuild for
-        // `rebuilt` only; verdict reuse needs the full closure.
-        let rebuilt = direct_extension_crossers(&extended, n);
-        let stale = {
-            let mut s = rebuilt.clone();
-            crossing_closure(&extended, &mut s);
-            s
-        };
-
-        // Warm seed: every standing row starts at its standing
-        // fixed-point value, the candidate at its transit floor. Sound
-        // for an *extension* because adding interference is monotone —
-        // the standing table is pointwise ≤ the extended least fixed
-        // point, and the mixed seed is a pre-fixpoint (each update can
-        // only raise it), so Kleene iteration from it converges to the
-        // same least fixed point as the cold transit start, in far
-        // fewer rounds (a removal cannot do this: the shrunk fixed
-        // point lies *below* the standing values, see `remove`).
-        // Overflow in the extended transit sums aborts with the typed
-        // verdict before any unchecked cache arithmetic.
-        let mut seed = match SmaxTable::transit(&extended) {
+        let (set, moved) = self
+            .set
+            .with_delta(delta.remove, delta.replace, delta.append)?;
+        let node_index = set.node_flow_index();
+        let (rebuilt, stale) = self.delta_closure(&set, &moved, delta, &node_index);
+        let universe: Vec<bool> = set.flows().iter().map(|f| f.class.is_ef()).collect();
+        // A pure append is monotone: every standing row is a valid seed.
+        // Otherwise stale rows restart at the transit floor. Overflow in
+        // the new transit sums aborts with the typed verdict before any
+        // unchecked cache arithmetic.
+        let append_only = delta.remove.is_empty() && delta.replace.is_empty();
+        let mut seed = match SmaxTable::transit(&set) {
             Ok(seed) => seed,
             Err(v) => {
                 return Ok(EfWhatIf {
-                    report: ef_error_report(&extended, &v),
+                    report: ef_error_report(&set, &v),
                     stale,
                     rounds: 0,
                     state: None,
                 })
             }
         };
-        for i in 0..n {
-            seed.set_row(i, self.smax.row(i));
+        let mut full_prev: Vec<Option<Verdict>> = vec![None; set.len()];
+        for (old, new) in moved.iter().enumerate() {
+            let Some(k) = *new else { continue };
+            if append_only || !stale[k] {
+                seed.set_row(k, self.smax.row(old));
+            }
+            if !stale[k] {
+                full_prev[k] = Some(self.full[old].clone());
+            }
         }
-
-        let cache = InterferenceCache::extend_for(
+        let cache = InterferenceCache::delta_for(
             &self.cache,
-            &extended,
+            &set,
             &self.cfg,
             &universe,
             &EfDelta,
             &rebuilt,
+            &moved,
+            &node_index,
         );
-        let full_prev: Vec<Option<Verdict>> = (0..extended.len())
-            .map(|i| {
-                if i < n && !stale[i] {
-                    Some(self.full[i].clone())
-                } else {
-                    None
-                }
-            })
-            .collect();
-        // `rebuilt` rows are forced through round 0 (their skeletons
-        // changed); everything they transitively feed re-enters the
-        // iteration through the dirty-propagation machinery.
+        let forced = if append_only { &rebuilt } else { &stale };
         let res = Analyzer::with_parts(
-            &extended,
+            &set,
             &self.cfg,
             universe,
             EfDelta,
             cache,
             seed,
-            &rebuilt,
+            forced,
             Some(full_prev),
         );
         Ok(match res {
             Ok(an) => {
-                let report = ef_report(&extended, &an);
+                let report = ef_report(&set, &an);
                 let rounds = an.smax_rounds();
                 let parts = an.into_state_parts();
-                let state = Self::from_parts(extended, self.cfg.clone(), report.clone(), parts);
+                let state = Self::from_parts(set, self.cfg.clone(), report.clone(), parts);
                 EfWhatIf {
                     report,
                     stale,
@@ -357,7 +354,7 @@ impl ConvergedState {
                 }
             }
             Err(v) => EfWhatIf {
-                report: ef_error_report(&extended, &v),
+                report: ef_error_report(&set, &v),
                 stale,
                 rounds: 0,
                 state: None,
@@ -365,129 +362,52 @@ impl ConvergedState {
         })
     }
 
-    /// Warm teardown: the standing state with flow `id` removed,
-    /// re-solving only the flows that crossed it (transitively).
-    ///
-    /// `None` when the removal cannot be done incrementally — `id` is
-    /// not in the set, removing it would empty the set, or the shrunk
-    /// fixed point failed — in which case the caller should rebuild
-    /// cold (or drop the state).
-    pub fn remove(&self, id: FlowId) -> Option<ConvergedState> {
-        let removed = self.set.index_of(id)?;
-        let shrunk = self.set.without_flow(id).ok()?;
-
-        // Two invalidation grades over the shrunk set, as in `extend`:
-        // skeletons change only where the removed flow's windows
-        // disappear (its direct crossers), while `Smax` values may move
-        // across the transitive closure — and for a removal they move
-        // *down*, so the whole closure re-seeds at the transit floor.
-        let removed_flow = &self.set.flows()[removed];
-        let rebuilt: Vec<bool> = shrunk
-            .flows()
-            .iter()
-            .map(|f| shrunk.crosses(removed_flow, &f.path))
-            .collect();
-        let stale = {
-            let mut s = rebuilt.clone();
-            crossing_closure(&shrunk, &mut s);
-            s
+    /// The closure of `delta` over the new set `set`, as
+    /// `(rebuilt, stale)` (see the module docs). `moved` maps standing
+    /// indices to new ones, as returned by [`FlowSet::with_delta`];
+    /// `node_index` is the new set's [`FlowSet::node_flow_index`]:
+    /// "crosses" is "shares a node", so it yields the flows sharing a
+    /// node with a touched path without a pairwise scan.
+    fn delta_closure(
+        &self,
+        set: &FlowSet,
+        moved: &[Option<usize>],
+        delta: FlowDelta<'_>,
+        node_index: &HashMap<NodeId, Vec<usize>>,
+    ) -> (Vec<bool>, Vec<bool>) {
+        let flows = set.flows();
+        let appended_from = flows.len() - delta.append.len();
+        let mut rebuilt: Vec<bool> = (0..flows.len()).map(|i| i >= appended_from).collect();
+        let touch = |path: &traj_model::Path, rebuilt: &mut Vec<bool>| {
+            for n in path.nodes() {
+                for &i in node_index.get(n).into_iter().flatten() {
+                    rebuilt[i] = true;
+                }
+            }
         };
-
-        let mut universe = self.universe.clone();
-        universe.remove(removed);
-
-        let old_idx = |i: usize| if i < removed { i } else { i + 1 };
-        let mut seed = SmaxTable::transit(&shrunk).ok()?;
-        for (i, is_stale) in stale.iter().enumerate() {
-            if !is_stale {
-                seed.set_row(i, self.smax.row(old_idx(i)));
-            }
+        for f in &flows[appended_from..] {
+            touch(&f.path, &mut rebuilt);
         }
-
-        let cache = InterferenceCache::shrink_for(
-            &self.cache,
-            &shrunk,
-            &self.cfg,
-            &universe,
-            &EfDelta,
-            &rebuilt,
-            removed,
-        );
-        let full_prev: Vec<Option<Verdict>> = (0..shrunk.len())
-            .map(|i| {
-                if !stale[i] {
-                    Some(self.full[old_idx(i)].clone())
-                } else {
-                    None
+        if !(delta.remove.is_empty() && delta.replace.is_empty()) {
+            for (old, new) in self.set.flows().iter().zip(moved) {
+                let replaced = delta.replace.iter().find(|r| r.id == old.id);
+                if new.is_some() && replaced.is_none() {
+                    continue;
                 }
-            })
-            .collect();
-        let an = Analyzer::with_parts(
-            &shrunk,
-            &self.cfg,
-            universe,
-            EfDelta,
-            cache,
-            seed,
-            &stale,
-            Some(full_prev),
-        )
-        .ok()?;
-        let report = ef_report(&shrunk, &an);
-        let parts = an.into_state_parts();
-        Some(Self::from_parts(shrunk, self.cfg.clone(), report, parts))
-    }
-}
-
-/// The *structural* invalidation of appending flows at indices
-/// `appended_from..`: the appended rows themselves plus every standing
-/// flow one of them directly crosses. A standing flow outside this set
-/// keeps its interference skeleton verbatim even when the transitive
-/// closure reaches it — only its `Smax` row can move, never its
-/// structure.
-fn direct_extension_crossers(extended: &FlowSet, appended_from: usize) -> Vec<bool> {
-    let flows = extended.flows();
-    // "Crosses" is "shares a node", so the inverted node index yields the
-    // directly-crossed standing flows without a pairwise path scan.
-    let node_index = extended.node_flow_index();
-    let mut flagged: Vec<bool> = (0..flows.len()).map(|i| i >= appended_from).collect();
-    for f in flows.iter().skip(appended_from) {
-        for n in f.path.nodes() {
-            if let Some(members) = node_index.get(n) {
-                for &i in members {
-                    flagged[i] = true;
+                touch(&old.path, &mut rebuilt);
+                if let (Some(k), Some(r)) = (*new, replaced) {
+                    rebuilt[k] = true;
+                    touch(&r.path, &mut rebuilt);
                 }
             }
         }
-    }
-    flagged
-}
-
-/// The dirty closure of appending flows at indices
-/// `appended_from..set.len()`: those flows plus the transitive closure
-/// of "crosses" over the whole set's crossing graph. `stale[i]` means
-/// flow `i`'s interference structure or fixed-point row may differ
-/// from the standing solution.
-pub fn addition_dirty_closure(extended: &FlowSet, appended_from: usize) -> Vec<bool> {
-    let mut stale: Vec<bool> = (0..extended.len()).map(|i| i >= appended_from).collect();
-    crossing_closure(extended, &mut stale);
-    stale
-}
-
-/// Spreads `stale` transitively along the crossing graph ("shares a
-/// node" edges, symmetric): the generalisation of the survivability
-/// engine's fault closure to arbitrary seeds.
-fn crossing_closure(set: &FlowSet, stale: &mut [bool]) {
-    let flows = set.flows();
-    // BFS over the inverted node index: "crosses" is symmetric ("shares
-    // a node"), so expanding each frontier flow to its nodes' visitors
-    // reaches exactly the flows a pairwise path scan would.
-    let node_index = set.node_flow_index();
-    let mut frontier: Vec<usize> = (0..flows.len()).filter(|&i| stale[i]).collect();
-    while let Some(j) = frontier.pop() {
-        for n in flows[j].path.nodes() {
-            if let Some(members) = node_index.get(n) {
-                for &i in members {
+        // Spread transitively: BFS over the same index, because "crosses"
+        // is symmetric.
+        let mut stale = rebuilt.clone();
+        let mut frontier: Vec<usize> = (0..flows.len()).filter(|&i| stale[i]).collect();
+        while let Some(j) = frontier.pop() {
+            for n in flows[j].path.nodes() {
+                for &i in node_index.get(n).into_iter().flatten() {
                     if !stale[i] {
                         stale[i] = true;
                         frontier.push(i);
@@ -495,22 +415,8 @@ fn crossing_closure(set: &FlowSet, stale: &mut [bool]) {
                 }
             }
         }
+        (rebuilt, stale)
     }
-}
-
-/// Warm-start admission analysis: the EF report of `standing`'s set
-/// extended with `candidate`, bit-identical to running
-/// [`crate::analyze_ef`] on the extended set cold, at a fraction of
-/// the cost when the candidate's interference is localised.
-///
-/// `Err` when the extension is structurally invalid. The returned
-/// what-if carries the committable [`ConvergedState`] when the
-/// analysis bounded.
-pub fn analyze_ef_incremental(
-    standing: &ConvergedState,
-    candidate: SporadicFlow,
-) -> Result<EfWhatIf, ModelError> {
-    standing.extend(candidate)
 }
 
 #[cfg(test)]
@@ -638,5 +544,76 @@ mod tests {
         }
         assert_eq!(state.set().len(), 1);
         assert!(state.remove(state.set().flows()[0].id).is_none());
+    }
+
+    #[test]
+    fn one_delta_removing_replacing_and_appending_matches_cold() {
+        let set = paper_example_with_best_effort(5).unwrap();
+        let replaced = {
+            let f = &set.flows()[set.index_of(FlowId(3)).unwrap()];
+            SporadicFlow::uniform(
+                3,
+                traj_model::Path::from_ids([1, 3, 4]).unwrap(),
+                f.period,
+                2,
+                0,
+                f.deadline,
+            )
+            .unwrap()
+            .with_class(f.class)
+        };
+        let appended = candidate(900, vec![9, 10, 7]);
+        let (want, _) = set
+            .with_delta(
+                &[FlowId(2)],
+                std::slice::from_ref(&replaced),
+                std::slice::from_ref(&appended),
+            )
+            .unwrap();
+        for cfg in crate::config_grid() {
+            let standing = ConvergedState::build_ef(&set, &cfg).unwrap();
+            let warm = standing
+                .apply(FlowDelta {
+                    remove: &[FlowId(2)],
+                    replace: std::slice::from_ref(&replaced),
+                    append: std::slice::from_ref(&appended),
+                })
+                .unwrap();
+            let state = warm.state().unwrap();
+            let ids = |s: &FlowSet| s.flows().iter().map(|f| f.id).collect::<Vec<_>>();
+            assert_eq!(ids(state.set()), ids(&want));
+            let cold = analyze_ef(&want, &cfg);
+            for (a, b) in warm.report.per_flow().iter().zip(cold.per_flow()) {
+                assert_eq!((&a.wcrt, a.jitter), (&b.wcrt, b.jitter), "cfg {cfg:?}");
+            }
+            assert!(state.verify_bit_identity().passed(), "cfg {cfg:?}");
+        }
+    }
+
+    #[test]
+    fn removing_the_last_flow_keeps_rows_shared_and_matches_cold() {
+        // Nothing moves when the tail goes, so carried rows need no
+        // renumbering; the result must still equal a cold build.
+        let set = paper_example();
+        let cfg = AnalysisConfig::default();
+        let standing = ConvergedState::build_ef(&set, &cfg).unwrap();
+        let last = set.flows()[set.len() - 1].id;
+        let shrunk = standing.remove(last).unwrap();
+        assert!(shrunk.verify_bit_identity().passed());
+        assert_eq!(shrunk.set().len(), set.len() - 1);
+    }
+
+    #[test]
+    fn unknown_ids_in_a_delta_are_model_errors() {
+        let set = paper_example();
+        let standing = ConvergedState::build_ef(&set, &AnalysisConfig::default()).unwrap();
+        let ghost = candidate(999, vec![1, 3]);
+        let err = standing
+            .apply(FlowDelta {
+                replace: std::slice::from_ref(&ghost),
+                ..FlowDelta::default()
+            })
+            .unwrap_err();
+        assert_eq!(err, ModelError::UnknownFlowId { id: FlowId(999) });
     }
 }

@@ -40,14 +40,12 @@ pub use backend::TrajectoryAnalyzer;
 pub use config::{config_grid, AnalysisConfig, ReverseCounting, SmaxMode};
 pub use ef::{analyze_ef, nonpreemption_delta};
 pub use explain::{explain_flow, provenance_all, provenance_flow, BoundBreakdown, BoundProvenance};
-pub use incremental::{
-    addition_dirty_closure, analyze_ef_incremental, BitIdentityAudit, ConvergedState, EfWhatIf,
-};
+pub use incremental::{BitIdentityAudit, ConvergedState, EfWhatIf, FlowDelta};
 pub use jitter::jitter_bound;
 pub use reference::{analyze_all_reference, ReferenceAnalyzer};
 pub use report::{FlowReport, SetReport, Verdict};
 pub use sensitivity::{critical_flow, deadline_margin, max_admissible_cost, slacks};
 pub use snapshot::{ConvergedSnapshot, SnapshotError};
-pub use survivability::{analyze_degraded, dirty_closure, reanalyze, FaultReanalysis};
+pub use survivability::analyze_degraded;
 pub use telemetry::{FixpointTelemetry, RoundTelemetry, RunShape, ShardTelemetry};
 pub use wcrt::{analyze_all, analyze_flow, Analyzer};

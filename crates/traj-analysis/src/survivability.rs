@@ -1,205 +1,36 @@
-//! Degraded-topology re-analysis: recompute Property 2 bounds after a
-//! [`FaultScenario`] without redoing the work the fault did not touch.
+//! Degraded-topology analysis: Property 2 bounds of a flow set after a
+//! [`FaultScenario`](traj_model::FaultScenario), on the index-stable
+//! [`DegradedSet`] with the dropped flows masked out of the FIFO
+//! universe.
 //!
-//! # Incremental strategy
-//!
-//! A fault changes three things about the flow set: dropped flows leave
-//! the FIFO universe, rerouted flows change paths, and everything else
-//! stays put. [`dirty_closure`] computes the transitive closure of
-//! "directly perturbed" (fate ≠ untouched) over the *union* of the
-//! healthy and degraded crossing graphs. Outside that closure a flow and
-//! all its crossers are untouched, so
-//!
-//! * its interference skeleton (crossing segments, `M` terms,
-//!   same-direction maxima, busy period) is bit-identical to the healthy
-//!   one — [`reanalyze`] clones those cache rows instead of rebuilding
-//!   them — and
-//! * its healthy `Smax` fixed-point row already satisfies the degraded
-//!   equations exactly (clean flows only read clean cells), so it is
-//!   reused as-is.
-//!
-//! Flows inside the closure are re-seeded at their transit floor — below
-//! the least fixed point — and re-solved; the dirty/clean split makes
-//! the equation system block-diagonal, so Kleene iteration converges to
-//! the same least fixed point a cold start reaches and the resulting
-//! bounds are **bit-identical** to [`analyze_degraded`] (asserted by the
-//! fault differential suite in `tests/equivalence.rs`).
+//! [`analyze_degraded`] is the cold reference for degraded sets; the
+//! fault-injecting simulator adversary checks survivors against it. The
+//! warm path for a fault is not here: the admission controller applies
+//! the surviving set to its converged state as one
+//! [`FlowDelta`](crate::FlowDelta) (dropped ids removed, rerouted flows
+//! replaced), and the result is bit-identical to a cold
+//! [`ConvergedState::build_ef`](crate::ConvergedState::build_ef) of the
+//! surviving set.
 
 use rayon::prelude::*;
-use traj_model::{DegradedSet, FlowFate, FlowSet};
+use traj_model::{DegradedSet, FlowFate};
 
 use crate::config::AnalysisConfig;
 use crate::report::{FlowReport, SetReport, Verdict};
-use crate::smax::SmaxTable;
 use crate::wcrt::{Analyzer, NoDelta};
-
-/// Outcome of an incremental fault re-analysis.
-#[derive(Debug, Clone)]
-pub struct FaultReanalysis {
-    /// Per-flow verdicts on the degraded set (index-aligned with the
-    /// healthy set; dropped flows report why they were dropped).
-    pub report: SetReport,
-    /// The dirty closure: flows whose skeleton and `Smax` row were
-    /// recomputed. Everything else was reused from the healthy solution.
-    pub stale: Vec<bool>,
-    /// Rounds the warm-started fixed point took.
-    pub rounds: usize,
-}
-
-impl FaultReanalysis {
-    /// Number of flows whose healthy solution was reused untouched.
-    pub fn reused(&self) -> usize {
-        self.stale.iter().filter(|s| !**s).count()
-    }
-
-    /// Audit this warm re-analysis against a cold
-    /// [`analyze_degraded`] of the same degraded set.
-    ///
-    /// [`reanalyze`] guarantees bit-identity to the cold path, so any
-    /// per-flow `wcrt`/jitter mismatch is a bug. The soak harness runs
-    /// this after every fault storm it injects.
-    pub fn verify_bit_identity(
-        &self,
-        degraded: &DegradedSet,
-        cfg: &AnalysisConfig,
-    ) -> crate::incremental::BitIdentityAudit {
-        let cold = analyze_degraded(degraded, cfg);
-        let mismatches = self
-            .report
-            .per_flow()
-            .iter()
-            .zip(cold.per_flow())
-            .filter(|(warm, cold)| warm.wcrt != cold.wcrt || warm.jitter != cold.jitter)
-            .map(|(warm, _)| warm.flow)
-            .collect();
-        crate::incremental::BitIdentityAudit {
-            flows: self.report.per_flow().len(),
-            mismatches,
-        }
-    }
-}
-
-/// Transitive closure of fault perturbation over the crossing graph.
-///
-/// Seeds with every flow whose fate is not [`FlowFate::Untouched`] and
-/// spreads along "shares a node" edges of **both** the healthy paths
-/// (a dropped or rerouted flow used to interfere there) and the degraded
-/// paths (a rerouted flow interferes there now). `stale[i]` means flow
-/// `i`'s interference structure or fixed-point row may differ from the
-/// healthy solution.
-pub fn dirty_closure(healthy: &FlowSet, degraded: &DegradedSet) -> Vec<bool> {
-    let n = healthy.len();
-    let mut stale: Vec<bool> = degraded
-        .fates
-        .iter()
-        .map(|f| !matches!(f, FlowFate::Untouched))
-        .collect();
-    // BFS over the union of the healthy and degraded node indices:
-    // "crosses in either set" is symmetric ("shares a node in either
-    // set"), so expanding a frontier flow to its nodes' visitors — under
-    // both indices — reaches exactly the flows the pairwise scan would.
-    let healthy_index = healthy.node_flow_index();
-    let degraded_index = degraded.set.node_flow_index();
-    let mut frontier: Vec<usize> = (0..n).filter(|&i| stale[i]).collect();
-    while let Some(j) = frontier.pop() {
-        let visit =
-            |members: Option<&Vec<usize>>, stale: &mut Vec<bool>, frontier: &mut Vec<usize>| {
-                for &i in members.into_iter().flatten() {
-                    if !stale[i] {
-                        stale[i] = true;
-                        frontier.push(i);
-                    }
-                }
-            };
-        for nd in healthy.flows()[j].path.nodes() {
-            visit(healthy_index.get(nd), &mut stale, &mut frontier);
-        }
-        for nd in degraded.set.flows()[j].path.nodes() {
-            visit(degraded_index.get(nd), &mut stale, &mut frontier);
-        }
-    }
-    stale
-}
 
 /// Canonical from-scratch analysis of a degraded set: all surviving
 /// flows form the FIFO universe, dropped flows are masked out and
-/// reported as dropped. This is the reference the incremental path must
-/// reproduce bit-for-bit.
+/// reported as dropped.
 pub fn analyze_degraded(degraded: &DegradedSet, cfg: &AnalysisConfig) -> SetReport {
     let universe = degraded.universe();
     let res = Analyzer::with_universe_and_delta(&degraded.set, cfg, universe, NoDelta);
     assemble(degraded, res)
 }
 
-/// Incremental re-analysis of a degraded set, warm-started from the
-/// healthy solution.
-///
-/// `healthy` must be the converged analyzer of the pre-fault set the
-/// scenario was applied to (same flows, same order, same `cfg`);
-/// the result is then bit-identical to [`analyze_degraded`] on the same
-/// inputs, at a fraction of the cost when the fault is localised.
-pub fn reanalyze(
-    healthy: &Analyzer<'_, NoDelta>,
-    degraded: &DegradedSet,
-    cfg: &AnalysisConfig,
-) -> FaultReanalysis {
-    let stale = dirty_closure(healthy.set(), degraded);
-    let universe = degraded.universe();
-
-    // Warm seed: transit floor for stale rows (sound restart point),
-    // healthy fixed-point rows elsewhere (already exact). Computed
-    // before the skeleton rebuild: the transit sums are overflow-checked
-    // and a seed the degraded set cannot even represent aborts with the
-    // typed verdict instead of analysing from a bogus floor.
-    let mut seed = match SmaxTable::transit(&degraded.set) {
-        Ok(seed) => seed,
-        Err(v) => {
-            return FaultReanalysis {
-                report: assemble(degraded, Err(v)),
-                stale,
-                rounds: 0,
-            }
-        }
-    };
-    for (i, is_stale) in stale.iter().enumerate() {
-        if !is_stale {
-            seed.set_row(i, healthy.smax().row(i));
-        }
-    }
-
-    // Skeletons: rebuild stale rows against the degraded set, clone the
-    // rest from the healthy cache (their structure is untouched).
-    let cache = crate::cache::InterferenceCache::rebuild_for(
-        healthy.cache(),
-        &degraded.set,
-        cfg,
-        &universe,
-        &NoDelta,
-        &stale,
-    );
-
-    let res = Analyzer::with_parts(
-        &degraded.set,
-        cfg,
-        universe,
-        NoDelta,
-        cache,
-        seed,
-        &stale,
-        None,
-    );
-    let rounds = res.as_ref().map(|an| an.smax_rounds()).unwrap_or(0);
-    FaultReanalysis {
-        report: assemble(degraded, res),
-        stale,
-        rounds,
-    }
-}
-
 /// Builds the per-flow report, overriding dropped flows' verdicts with
 /// their drop reason (a bound over a path the flow no longer has would
-/// be meaningless). Shared by the from-scratch and incremental paths so
-/// their outputs stay comparable verbatim.
+/// be meaningless).
 fn assemble(degraded: &DegradedSet, res: Result<Analyzer<'_, NoDelta>, Verdict>) -> SetReport {
     let set = &degraded.set;
     let drop_verdict = |i: usize| -> Option<Verdict> {
@@ -247,8 +78,24 @@ fn assemble(degraded: &DegradedSet, res: Result<Analyzer<'_, NoDelta>, Verdict>)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ConvergedState, FlowDelta};
     use traj_model::examples::paper_example;
-    use traj_model::{FaultScenario, NodeId};
+    use traj_model::{FaultScenario, FlowId, FlowSet, NodeId, SporadicFlow};
+
+    /// The surviving set of `degraded` as a delta: dropped ids removed,
+    /// rerouted flows replaced.
+    fn fault_delta(degraded: &DegradedSet) -> (Vec<FlowId>, Vec<SporadicFlow>) {
+        let mut remove = Vec::new();
+        let mut replace = Vec::new();
+        for (f, fate) in degraded.set.flows().iter().zip(&degraded.fates) {
+            match fate {
+                FlowFate::Untouched => {}
+                FlowFate::Rerouted { .. } => replace.push(f.clone()),
+                FlowFate::Dropped { .. } => remove.push(f.id),
+            }
+        }
+        (remove, replace)
+    }
 
     fn healthy_and_degraded(scenario: FaultScenario) -> (FlowSet, DegradedSet) {
         let set = paper_example();
@@ -259,48 +106,54 @@ mod tests {
     #[test]
     fn no_fault_reuses_everything_and_matches_healthy() {
         let (set, degraded) = healthy_and_degraded(FaultScenario::new(Vec::new()));
-        let cfg = AnalysisConfig::default();
-        let an = Analyzer::new(&set, &cfg).unwrap();
-        let healthy_bounds: Vec<_> = (0..set.len()).map(|i| an.wcrt(i)).collect();
-        let re = reanalyze(&an, &degraded, &cfg);
-        assert_eq!(re.reused(), set.len());
-        assert!(
-            re.rounds <= 1,
-            "nothing stale: at most one convergence-check round, got {}",
-            re.rounds
-        );
-        let got: Vec<_> = re
-            .report
-            .per_flow()
-            .iter()
-            .map(|r| r.wcrt.clone())
-            .collect();
-        assert_eq!(got, healthy_bounds);
+        let standing = ConvergedState::build_ef(&set, &AnalysisConfig::default()).unwrap();
+        let (remove, replace) = fault_delta(&degraded);
+        let warm = standing
+            .apply(FlowDelta {
+                remove: &remove,
+                replace: &replace,
+                ..FlowDelta::default()
+            })
+            .unwrap();
+        assert_eq!(warm.reused(), set.len());
+        assert_eq!(warm.rounds, 0);
+        assert_eq!(warm.report.bounds(), standing.report().bounds());
     }
 
     #[test]
-    fn incremental_matches_from_scratch_on_node_failure() {
+    fn fault_delta_matches_cold_on_node_failure() {
         // Node 9 kills flow 2 ([9,10,7,6]) entirely; the rest reroute or
-        // stay. Incremental and from-scratch must agree bit-for-bit.
+        // stay. The warm delta and a cold build of the surviving set
+        // must agree bit-for-bit, flow by flow.
         let (set, degraded) = healthy_and_degraded(FaultScenario::node_down(NodeId(9)));
+        let (remove, replace) = fault_delta(&degraded);
+        let survivors = degraded.surviving_set().unwrap();
         for cfg in crate::config_grid() {
-            let an = Analyzer::new(&set, &cfg).unwrap();
-            let re = reanalyze(&an, &degraded, &cfg);
-            let scratch = analyze_degraded(&degraded, &cfg);
-            for (a, b) in re.report.per_flow().iter().zip(scratch.per_flow()) {
-                assert_eq!(a.wcrt, b.wcrt, "cfg {cfg:?}");
-                assert_eq!(a.jitter, b.jitter, "cfg {cfg:?}");
+            let standing = ConvergedState::build_ef(&set, &cfg).unwrap();
+            let warm = standing
+                .apply(FlowDelta {
+                    remove: &remove,
+                    replace: &replace,
+                    ..FlowDelta::default()
+                })
+                .unwrap();
+            let cold = ConvergedState::build_ef(&survivors, &cfg).unwrap();
+            assert_eq!(warm.report.per_flow().len(), survivors.len());
+            for r in cold.report().per_flow() {
+                let w = warm.report.for_flow(r.flow).unwrap();
+                assert_eq!(w.wcrt, r.wcrt, "cfg {cfg:?}");
+                assert_eq!(w.jitter, r.jitter, "cfg {cfg:?}");
             }
+            let state = warm.state().unwrap();
+            assert!(state.verify_bit_identity().passed(), "cfg {cfg:?}");
         }
     }
 
     #[test]
     fn dropped_flows_report_their_drop_reason() {
-        let (set, degraded) = healthy_and_degraded(FaultScenario::node_down(NodeId(9)));
-        let cfg = AnalysisConfig::default();
-        let an = Analyzer::new(&set, &cfg).unwrap();
-        let re = reanalyze(&an, &degraded, &cfg);
-        let r = re.report.for_flow(traj_model::FlowId(2)).unwrap();
+        let (_, degraded) = healthy_and_degraded(FaultScenario::node_down(NodeId(9)));
+        let report = analyze_degraded(&degraded, &AnalysisConfig::default());
+        let r = report.for_flow(FlowId(2)).unwrap();
         assert!(!r.wcrt.is_bounded());
         match &r.wcrt {
             Verdict::Unbounded { reason } => {
@@ -311,23 +164,29 @@ mod tests {
     }
 
     #[test]
-    fn bit_identity_audit_passes_after_node_failure() {
+    fn closure_contains_every_rerouted_flow_and_its_crossers() {
         let (set, degraded) = healthy_and_degraded(FaultScenario::node_down(NodeId(9)));
-        let cfg = AnalysisConfig::default();
-        let an = Analyzer::new(&set, &cfg).unwrap();
-        let re = reanalyze(&an, &degraded, &cfg);
-        let audit = re.verify_bit_identity(&degraded, &cfg);
-        assert_eq!(audit.flows, set.len());
-        assert!(audit.passed(), "mismatches: {:?}", audit.mismatches);
-    }
-
-    #[test]
-    fn closure_contains_all_perturbed_flows() {
-        let (set, degraded) = healthy_and_degraded(FaultScenario::node_down(NodeId(9)));
-        let stale = dirty_closure(&set, &degraded);
-        for (i, fate) in degraded.fates.iter().enumerate() {
-            if !matches!(fate, FlowFate::Untouched) {
-                assert!(stale[i], "perturbed flow {i} must be stale");
+        let (remove, replace) = fault_delta(&degraded);
+        let standing = ConvergedState::build_ef(&set, &AnalysisConfig::default()).unwrap();
+        let warm = standing
+            .apply(FlowDelta {
+                remove: &remove,
+                replace: &replace,
+                ..FlowDelta::default()
+            })
+            .unwrap();
+        let state = warm.state().unwrap();
+        let survivors = state.set();
+        for r in &replace {
+            let i = survivors.index_of(r.id).unwrap();
+            assert!(warm.stale[i], "rerouted flow {} must be stale", r.id);
+        }
+        // Every survivor that shared a node with the dropped flow's path
+        // was re-solved.
+        let dropped = &set.flows()[set.index_of(FlowId(2)).unwrap()];
+        for (i, f) in survivors.flows().iter().enumerate() {
+            if survivors.crosses(f, &dropped.path) {
+                assert!(warm.stale[i], "crosser {} of the dropped flow", f.id);
             }
         }
     }

@@ -42,7 +42,6 @@ impl DeltaProvider for NoDelta {
 /// Owned remains of a converged [`Analyzer`], decoupled from the
 /// borrowed set/configuration (see [`Analyzer::into_state_parts`]).
 pub(crate) struct AnalyzerParts {
-    pub(crate) universe: Vec<bool>,
     pub(crate) smax: SmaxTable,
     pub(crate) cache: InterferenceCache,
     pub(crate) rounds: usize,
@@ -200,7 +199,6 @@ impl<'a, D: DeltaProvider> Analyzer<'a, D> {
     /// borrowed set and configuration).
     pub(crate) fn into_state_parts(self) -> AnalyzerParts {
         AnalyzerParts {
-            universe: self.universe,
             smax: self.smax,
             cache: self.cache,
             rounds: self.rounds,
@@ -231,8 +229,9 @@ impl<'a, D: DeltaProvider> Analyzer<'a, D> {
         &self.telemetry
     }
 
-    /// The frozen interference structure (reused row-wise by the
-    /// survivability warm start and inspected by the cache test suite).
+    /// The frozen interference structure (inspected by the cache test
+    /// suite).
+    #[cfg(test)]
     pub(crate) fn cache(&self) -> &InterferenceCache {
         &self.cache
     }

@@ -10,15 +10,18 @@
 //! # Warm-start evaluation
 //!
 //! The controller holds the standing set's converged analysis
-//! ([`ConvergedState`]) across `try_admit`/`release` calls. A what-if is
-//! then evaluated by [`traj_analysis::analyze_ef_incremental`]: only the
-//! candidate's transitive dirty closure over the crossing graph is
-//! re-solved, everything else — interference skeletons, `Smax`
-//! fixed-point rows, full-path verdicts — is reused, and the resulting
-//! bounds are bit-identical to the cold analysis (DESIGN.md §10). The
-//! state is dropped on structural invalidation (a fault) and rebuilt
-//! lazily; every decision still taken by a cold `analyze_ef` run is
-//! counted in [`AdmissionMetrics::cold_fallbacks`].
+//! ([`ConvergedState`]) across `try_admit`, `release` and `on_fault`
+//! calls, and every change to the admitted set is one warm delta on it
+//! ([`ConvergedState::apply`]): an admission appends the candidate, a
+//! release removes a flow, and a fault removes the dropped flows and
+//! replaces the rerouted ones. Only the delta's transitive closure over
+//! the crossing graph is re-solved; everything else — interference
+//! skeletons, `Smax` fixed-point rows, full-path verdicts — is reused,
+//! and the resulting bounds are bit-identical to a cold analysis
+//! (DESIGN.md §10). The state is rebuilt cold only when there is none
+//! (after a restore, or when a fixed point diverged); a decision taken
+//! by a cold `analyze_ef` run is counted in
+//! [`AdmissionMetrics::cold_fallbacks`].
 //!
 //! [`AdmissionController::try_admit_batch`] evaluates K independent
 //! what-ifs against the standing state in parallel (rayon; serially
@@ -33,17 +36,23 @@
 //!
 //! [`AdmissionController::on_fault`] re-evaluates the admitted flows on
 //! the degraded topology: flows whose route died are dropped, rerouted
-//! flows keep their guarantee only if the re-analysis still bounds them
-//! under their deadline, and when the degraded set is unschedulable the
-//! controller *evicts* flows — ordered by [`EvictionPolicy`] — until the
-//! survivors are guaranteed again. Every displaced flow lands in a retry
-//! queue with exponential backoff; [`AdmissionController::tick`] drains
-//! the queue, re-running full admission control for each entry once the
-//! fault is (assumed) repaired.
+//! flows keep their guarantee only if the warm re-analysis still bounds
+//! them under their deadline, and when the degraded set is
+//! unschedulable the controller *evicts* flows — ordered by
+//! [`EvictionPolicy`], as warm removals — until the survivors are
+//! guaranteed again. An eviction is solved only when it could relieve
+//! every known deadline miss; victims that cannot (they share no
+//! crossing-graph component with a miss) leave with the next solved
+//! one. Every displaced flow lands in a retry queue with
+//! exponential backoff; [`AdmissionController::tick`] drains the queue,
+//! re-running full admission control for each entry once the fault is
+//! (assumed) repaired.
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use traj_analysis::{analyze_ef, AnalysisConfig, ConvergedState, EfWhatIf, SetReport};
+use std::collections::{HashMap, HashSet};
+
+use traj_analysis::{analyze_ef, AnalysisConfig, ConvergedState, EfWhatIf, FlowDelta, SetReport};
 use traj_model::flow::TrafficClass;
 use traj_model::{FaultScenario, FlowFate, FlowId, FlowSet, ModelError, SporadicFlow};
 use traj_netcalc::{AggregateCache, ScreenOutcome};
@@ -196,7 +205,7 @@ pub struct RetryEntry {
 }
 
 /// What [`AdmissionController::on_fault`] did to the admitted set.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultResponse {
     /// Flows whose route died with the fault (queued for retry).
     pub dropped: Vec<(FlowId, String)>,
@@ -373,9 +382,10 @@ impl std::error::Error for RestoreError {}
 pub struct AdmissionController {
     current: FlowSet,
     cfg: AnalysisConfig,
-    /// The standing set's converged analysis, extended/shrunk in place
-    /// by admissions and releases. `None` after structural invalidation
-    /// (a fault) or a failed build; rebuilt lazily on the next what-if.
+    /// The standing set's converged analysis, carried across
+    /// admissions, releases and faults by warm deltas. `None` before
+    /// first use, after a restore, or when a fixed point diverged;
+    /// rebuilt lazily (cold) on the next what-if.
     /// Under [`TieredPolicy::Screened`] it may cover only a settled
     /// *prefix* of `current` — screen-hit admits are appended to
     /// `current` without touching it, and [`Self::settle`] folds the
@@ -546,8 +556,9 @@ impl AdmissionController {
     }
 
     /// The standing converged analysis of the admitted set, building it
-    /// cold first if a fault invalidated it (or nothing warmed it yet).
-    /// `None` when the standing set itself cannot be bounded.
+    /// cold first if none is held (nothing warmed it yet, a restore, or
+    /// a diverged fixed point). `None` when the standing set itself
+    /// cannot be bounded.
     ///
     /// This is the audit surface: the soak harness calls
     /// [`traj_analysis::ConvergedState::verify_bit_identity`] on the
@@ -557,6 +568,13 @@ impl AdmissionController {
         // returned state always covers the full admitted set.
         self.settle();
         self.ensure_state()
+    }
+
+    /// The converged analysis the controller holds right now, without
+    /// building one (see [`Self::converged_state`]). Right after
+    /// [`Self::on_fault`] this is the warm result of the fault delta.
+    pub fn warm_state(&self) -> Option<&ConvergedState> {
+        self.state.as_ref()
     }
 
     /// Checks the controller's internal bookkeeping invariants and
@@ -571,7 +589,7 @@ impl AdmissionController {
     pub fn check_invariants(&self) -> Vec<String> {
         let mut violations = Vec::new();
         let policy = self.retry_policy;
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = HashSet::new();
         for e in &self.retry {
             if !seen.insert(e.flow.id) {
                 violations.push(format!("retry queue holds flow {} twice", e.flow.id));
@@ -605,8 +623,7 @@ impl AdmissionController {
                 ));
             }
         }
-        let order_ids: std::collections::HashSet<FlowId> =
-            self.order.iter().map(|(f, _)| *f).collect();
+        let order_ids: HashSet<FlowId> = self.order.iter().map(|(f, _)| *f).collect();
         if order_ids.len() != self.order.len() {
             violations.push("admission order holds duplicate flow ids".to_string());
         }
@@ -1132,20 +1149,24 @@ impl AdmissionController {
         // The warm shrink removes by id from the converged state, so any
         // screen-admitted pending flows must be folded in first.
         self.settle();
-        match self.current.without_flow(id) {
-            Ok(rest) => {
-                // Warm maintenance; a failed shrink degrades to a lazy
-                // cold rebuild on the next what-if.
-                self.state = self.state.take().and_then(|s| s.remove(id));
-                if let Some(sc) = self.screen.as_mut() {
-                    sc.release(id);
-                }
-                self.current = rest;
-                self.order.retain(|(f, _)| *f != id);
-                ReleaseOutcome::Released
+        // Warm maintenance: the shrunk state's set becomes the admitted
+        // set. Without a state (or when the shrink fails) the set is
+        // shrunk on its own and the next what-if rebuilds cold.
+        match self.state.take().and_then(|s| s.remove(id)) {
+            Some(st) => {
+                self.current = st.set().clone();
+                self.state = Some(st);
             }
-            Err(_) => ReleaseOutcome::NotFound,
+            None => match self.current.without_flow(id) {
+                Ok(rest) => self.current = rest,
+                Err(_) => return ReleaseOutcome::NotFound,
+            },
         }
+        if let Some(sc) = self.screen.as_mut() {
+            sc.release(id);
+        }
+        self.order.retain(|(f, _)| *f != id);
+        ReleaseOutcome::Released
     }
 
     /// Re-evaluates the admitted flows on the topology degraded by
@@ -1153,6 +1174,12 @@ impl AdmissionController {
     /// until every surviving EF flow meets its deadline again. Displaced
     /// flows — both route casualties and evictees — join the retry queue
     /// with exponential backoff starting at `now`.
+    ///
+    /// The surviving set is one warm delta on the standing converged
+    /// state (dropped ids removed, rerouted flows replaced), and the
+    /// evictions are warm removals; the state stays published. Without a
+    /// state, or after a fixed point diverged, the next state comes from
+    /// the cold build of [`Self::ensure_state`].
     ///
     /// On error (e.g. the fault kills every admitted flow) the controller
     /// state is unchanged.
@@ -1165,66 +1192,93 @@ impl AdmissionController {
         // anchored at the effective time, never at a backwards wall
         // reading (see `clock()`).
         let now = self.advance_clock(now);
+        // The delta applies to the whole admitted set: fold pending
+        // screen admits into the state first, as `release` does.
+        self.settle();
         let degraded = scenario.apply(&self.current)?;
+        if !degraded.fates.iter().any(FlowFate::is_alive) {
+            return Err(ModelError::AllFlowsDropped);
+        }
         let mut response = FaultResponse::default();
-        let mut set = degraded.surviving_set()?;
-
-        for (idx, fate) in degraded.fates.iter().enumerate() {
-            let flow = &degraded.set.flows()[idx];
+        let mut remove = Vec::new();
+        let mut replace = Vec::new();
+        // Displaced flows re-enter with their healthy path (the degraded
+        // set is index-stable with the admitted one).
+        let mut route_lost = Vec::new();
+        let mut healthy_of_rerouted: HashMap<FlowId, SporadicFlow> = HashMap::new();
+        for ((flow, fate), healthy) in degraded
+            .set
+            .flows()
+            .iter()
+            .zip(&degraded.fates)
+            .zip(self.current.flows())
+        {
             match fate {
                 FlowFate::Untouched => {}
-                FlowFate::Rerouted { .. } => response.rerouted.push(flow.id),
+                FlowFate::Rerouted { .. } => {
+                    response.rerouted.push(flow.id);
+                    replace.push(flow.clone());
+                    healthy_of_rerouted.insert(flow.id, healthy.clone());
+                }
                 FlowFate::Dropped { reason } => {
                     response.dropped.push((flow.id, reason.to_string()));
-                    // Queue the *healthy* flow (original path): retry
-                    // models repair-and-readmission.
-                    if let Some(orig) = self.current.flows().iter().find(|f| f.id == flow.id) {
-                        self.enqueue_retry(orig.clone(), now, format!("route lost: {reason}"));
-                    }
+                    remove.push(flow.id);
+                    route_lost.push((healthy.clone(), format!("route lost: {reason}")));
                 }
             }
         }
+        let mut schedulable = self.commit_delta(FlowDelta {
+            remove: &remove,
+            replace: &replace,
+            ..FlowDelta::default()
+        })?;
+        for (healthy, reason) in route_lost {
+            self.enqueue_retry(healthy, now, reason);
+        }
 
         // Evict until the degraded set is schedulable (or nothing is left
-        // to sacrifice: FlowSet cannot be empty).
-        loop {
-            let report = analyze_ef(&set, &self.cfg);
-            if report
-                .per_flow()
-                .iter()
-                .all(|r| r.meets_deadline() == Some(true))
-            {
-                break;
-            }
-            if set.len() == 1 {
+        // to sacrifice: FlowSet cannot be empty). The policy picks victims
+        // whatever the reports say, so an eviction needs no solve while a
+        // flow still misses its deadline in a crossing-graph component no
+        // pending victim touches: that flow's verdict cannot move, so the
+        // set is still unschedulable. Pending victims leave in one warm
+        // delta once every known miss could have been relieved.
+        let seq: HashMap<FlowId, u64> = self.order.iter().copied().collect();
+        let mut misses = self.misses_by_component();
+        let mut pending: HashSet<FlowId> = HashSet::new();
+        while !schedulable {
+            if self.admitted().len() - pending.len() == 1 {
                 response.last_flow_retained = true;
                 break;
             }
-            let Some(victim) = self.pick_victim(&set) else {
+            let Some(victim) = self.pick_victim(&seq, &pending).cloned() else {
                 break;
             };
-            let Ok(rest) = set.without_flow(victim) else {
-                break;
-            };
-            set = rest;
-            response.evicted.push(victim);
-            if let Some(orig) = self.current.flows().iter().find(|f| f.id == victim) {
-                self.enqueue_retry(
-                    orig.clone(),
-                    now,
-                    "evicted: unschedulable after fault".to_string(),
-                );
+            response.evicted.push(victim.id);
+            pending.insert(victim.id);
+            let healthy = healthy_of_rerouted.remove(&victim.id).unwrap_or(victim);
+            self.enqueue_retry(
+                healthy,
+                now,
+                "evicted: unschedulable after fault".to_string(),
+            );
+            if misses.as_ref().is_some_and(|m| m.outlive(&pending)) {
+                continue;
             }
+            schedulable = self.commit_removal(&mut pending)?;
+            misses = self.misses_by_component();
+        }
+        if !pending.is_empty() {
+            self.commit_removal(&mut pending)?;
+        }
+        if let Some(st) = &self.state {
+            self.current = st.set().clone();
         }
 
-        let keep: std::collections::HashSet<FlowId> = set.flows().iter().map(|f| f.id).collect();
+        let keep: HashSet<FlowId> = self.current.flows().iter().map(|f| f.id).collect();
         self.order.retain(|(f, _)| keep.contains(f));
-        self.current = set;
-        // Structural invalidation: paths and the universe changed in
-        // ways the append/remove deltas do not model; the next what-if
-        // rebuilds the converged state cold. The screen is rebuilt
-        // eagerly under `Screened` so published views never go dark.
-        self.state = None;
+        // The screen is rebuilt eagerly under `Screened` so published
+        // views never go dark.
         self.screen =
             (self.tiered == TieredPolicy::Screened).then(|| AggregateCache::build(&self.current));
         self.metrics.dropped += response.dropped.len() as u64;
@@ -1240,6 +1294,100 @@ impl AdmissionController {
             traj_obs::gauge_set("admission.retry_depth", self.retry.len() as i64);
         }
         Ok(response)
+    }
+
+    /// The admitted set while a fault is handled: the standing state's
+    /// set when there is one (`current` follows it at the end).
+    fn admitted(&self) -> &FlowSet {
+        self.state
+            .as_ref()
+            .map_or(&self.current, ConvergedState::set)
+    }
+
+    /// Applies `delta` to the admitted set during a fault: warm on the
+    /// standing state when there is one; otherwise `current` changes on
+    /// its own and [`Self::ensure_state`] builds the next state cold. A
+    /// diverged fixed point leaves no state. Returns whether every flow
+    /// now meets its deadline.
+    fn commit_delta(&mut self, delta: FlowDelta<'_>) -> Result<bool, ModelError> {
+        let meets = |report: &SetReport| Self::first_miss(report).is_none();
+        if let Some(st) = self.state.take() {
+            let whatif = match st.apply(delta) {
+                Ok(w) => w,
+                Err(e) => {
+                    self.current = st.set().clone();
+                    self.state = Some(st);
+                    return Err(e);
+                }
+            };
+            let schedulable = meets(&whatif.report);
+            match whatif.into_state() {
+                // `current` catches up with the state's set once the
+                // fault is handled.
+                Some(next) => self.state = Some(next),
+                None => {
+                    self.current = st
+                        .set()
+                        .with_delta(delta.remove, delta.replace, delta.append)?
+                        .0;
+                }
+            }
+            return Ok(schedulable);
+        }
+        self.current = self
+            .current
+            .with_delta(delta.remove, delta.replace, delta.append)?
+            .0;
+        Ok(self.ensure_state().is_some_and(|st| meets(st.report())))
+    }
+
+    /// Evicts the `pending` victims in one delta, emptying `pending`;
+    /// see [`Self::commit_delta`].
+    fn commit_removal(&mut self, pending: &mut HashSet<FlowId>) -> Result<bool, ModelError> {
+        let remove: Vec<FlowId> = pending.drain().collect();
+        self.commit_delta(FlowDelta {
+            remove: &remove,
+            ..FlowDelta::default()
+        })
+    }
+
+    /// Where the standing state's deadline misses lie in its crossing
+    /// graph; `None` when nothing misses, or without a state (a diverged
+    /// set reports every flow as missing, so no miss can be placed).
+    fn misses_by_component(&self) -> Option<Misses> {
+        let st = self.state.as_ref()?;
+        Self::first_miss(st.report())?;
+        let set = st.set();
+        // Label the components of "shares a node" by BFS over the
+        // inverted node index, as the warm delta's closure walks them.
+        let node_index = set.node_flow_index();
+        let mut component = vec![usize::MAX; set.len()];
+        for start in 0..set.len() {
+            if component[start] != usize::MAX {
+                continue;
+            }
+            component[start] = start;
+            let mut frontier = vec![start];
+            while let Some(j) = frontier.pop() {
+                for n in set.flows()[j].path.nodes() {
+                    for &i in node_index.get(n).into_iter().flatten() {
+                        if component[i] == usize::MAX {
+                            component[i] = start;
+                            frontier.push(i);
+                        }
+                    }
+                }
+            }
+        }
+        let of: HashMap<FlowId, usize> = set.flows().iter().map(|f| f.id).zip(component).collect();
+        let missing = st
+            .report()
+            .per_flow()
+            .iter()
+            .filter(|r| r.meets_deadline() != Some(true))
+            .filter_map(|r| of.get(&r.flow).copied())
+            .collect();
+        Some(Misses { of, missing })
     }
 
     /// Drains due retry-queue entries: each gets one full admission
@@ -1326,15 +1474,15 @@ impl AdmissionController {
         self.metrics.retry_depth_peak = self.metrics.retry_depth_peak.max(self.retry.len() as u64);
     }
 
-    /// Picks the next eviction victim among `set`'s flows per the policy.
-    fn pick_victim(&self, set: &FlowSet) -> Option<FlowId> {
-        let seq = |id: FlowId| -> u64 {
-            self.order
-                .iter()
-                .find(|(f, _)| *f == id)
-                .map(|(_, s)| *s)
-                .unwrap_or(0)
-        };
+    /// Picks the next eviction victim per the policy among the admitted
+    /// flows not in `pending`; `seq` maps flow ids to admission sequence
+    /// numbers.
+    fn pick_victim(
+        &self,
+        seq: &HashMap<FlowId, u64>,
+        pending: &HashSet<FlowId>,
+    ) -> Option<&SporadicFlow> {
+        let seq = |id: FlowId| seq.get(&id).copied().unwrap_or(0);
         let class_rank = |c: &TrafficClass| -> u8 {
             match c {
                 TrafficClass::BestEffort => 0,
@@ -1342,14 +1490,36 @@ impl AdmissionController {
                 TrafficClass::Ef => u8::MAX,
             }
         };
-        set.flows()
+        self.admitted()
+            .flows()
             .iter()
+            .filter(|f| !pending.contains(&f.id))
             .max_by_key(|f| match self.policy {
                 // Lowest class first; ties latest-admitted-first.
                 EvictionPolicy::LowestPriorityFirst => (u8::MAX - class_rank(&f.class), seq(f.id)),
                 EvictionPolicy::LatestAdmittedFirst => (0, seq(f.id)),
             })
-            .map(|f| f.id)
+    }
+}
+
+/// The crossing-graph components of a solved set that hold a flow
+/// missing its deadline (see [`AdmissionController::on_fault`]).
+struct Misses {
+    /// Component label per flow id.
+    of: HashMap<FlowId, usize>,
+    /// Labels of the components holding a miss.
+    missing: Vec<usize>,
+}
+
+impl Misses {
+    /// Whether some miss survives removing `victims`: it lies in a
+    /// component none of them belongs to, so its verdict cannot change.
+    fn outlive(&self, victims: &HashSet<FlowId>) -> bool {
+        let hit: Vec<usize> = victims
+            .iter()
+            .filter_map(|v| self.of.get(v).copied())
+            .collect();
+        self.missing.iter().any(|c| !hit.contains(c))
     }
 }
 
@@ -1588,8 +1758,12 @@ mod tests {
             cfg.clone(),
             EvictionPolicy::LatestAdmittedFirst,
         );
-        assert_eq!(low.pick_victim(&extended), Some(FlowId(50)));
-        assert_eq!(late.pick_victim(&extended), Some(FlowId(51)));
+        let victim = |ac: &AdmissionController| {
+            let seq: HashMap<FlowId, u64> = ac.order.iter().copied().collect();
+            ac.pick_victim(&seq, &HashSet::new()).map(|f| f.id)
+        };
+        assert_eq!(victim(&low), Some(FlowId(50)));
+        assert_eq!(victim(&late), Some(FlowId(51)));
     }
 
     #[test]
@@ -1828,7 +2002,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_invalidates_the_warm_state_and_counts_a_cold_fallback() {
+    fn a_fault_keeps_the_warm_state_bit_identical_to_cold() {
         let mut ac = AdmissionController::new(paper_example(), AnalysisConfig::default());
         assert!(matches!(
             ac.try_admit(candidate(10, 360, 200)),
@@ -1837,15 +2011,23 @@ mod tests {
         assert!(ac.state.is_some(), "admission leaves a standing state");
         ac.on_fault(&FaultScenario::node_down(traj_model::NodeId(9)), 0)
             .unwrap();
-        assert!(ac.state.is_none(), "a fault is structural invalidation");
-        // The next admission rebuilds the state lazily and serves warm.
-        let before = ac.metrics().warm_hits;
+        let st = ac.warm_state().expect("a fault keeps the state published");
+        let cold = ConvergedState::build_ef(ac.flows(), &AnalysisConfig::default()).unwrap();
+        assert_eq!(st.set().len(), ac.flows().len());
+        for r in cold.report().per_flow() {
+            let w = st.report().for_flow(r.flow).unwrap();
+            assert_eq!((&w.wcrt, w.jitter), (&r.wcrt, r.jitter), "flow {}", r.flow);
+        }
+        assert!(ac.check_invariants().is_empty());
+        // The next admission extends the kept state: warm, no cold
+        // fallback.
+        let (warm, cold_before) = (ac.metrics().warm_hits, ac.metrics().cold_fallbacks);
         assert!(matches!(
             ac.try_admit(candidate(30, 360, 200)),
             AdmissionDecision::Admitted { .. }
         ));
-        assert_eq!(ac.metrics().warm_hits, before + 1);
-        assert!(ac.state.is_some());
+        assert_eq!(ac.metrics().warm_hits, warm + 1);
+        assert_eq!(ac.metrics().cold_fallbacks, cold_before);
     }
 
     #[test]
@@ -2175,5 +2357,279 @@ mod tests {
         let (d, hit) = evaluate_whatif_screened(&screen, &state, light_candidate(102, 5));
         assert!(!hit);
         assert_eq!(d, evaluate_whatif(&state, light_candidate(102, 5)));
+    }
+
+    /// The cold eviction loop `on_fault` ran before faults went warm: a
+    /// cold `analyze_ef` per eviction over the surviving set, victims
+    /// picked from that set, and the state dropped at the end. Kept as
+    /// the oracle of the differential tests below.
+    fn on_fault_cold(
+        ac: &mut AdmissionController,
+        scenario: &FaultScenario,
+        now: u64,
+    ) -> Result<FaultResponse, ModelError> {
+        let now = ac.advance_clock(now);
+        ac.settle();
+        let degraded = scenario.apply(&ac.current)?;
+        let mut response = FaultResponse::default();
+        let mut set = degraded.surviving_set()?;
+        for (idx, fate) in degraded.fates.iter().enumerate() {
+            let flow = &degraded.set.flows()[idx];
+            match fate {
+                FlowFate::Untouched => {}
+                FlowFate::Rerouted { .. } => response.rerouted.push(flow.id),
+                FlowFate::Dropped { reason } => {
+                    response.dropped.push((flow.id, reason.to_string()));
+                    if let Some(orig) = ac.current.flows().iter().find(|f| f.id == flow.id) {
+                        ac.enqueue_retry(orig.clone(), now, format!("route lost: {reason}"));
+                    }
+                }
+            }
+        }
+        let seq = |ac: &AdmissionController, id: FlowId| -> u64 {
+            ac.order
+                .iter()
+                .find(|(f, _)| *f == id)
+                .map(|(_, s)| *s)
+                .unwrap_or(0)
+        };
+        loop {
+            let report = analyze_ef(&set, &ac.cfg);
+            if report
+                .per_flow()
+                .iter()
+                .all(|r| r.meets_deadline() == Some(true))
+            {
+                break;
+            }
+            if set.len() == 1 {
+                response.last_flow_retained = true;
+                break;
+            }
+            let rank = |c: &TrafficClass| match c {
+                TrafficClass::BestEffort => 0,
+                TrafficClass::Af(k) => *k,
+                TrafficClass::Ef => u8::MAX,
+            };
+            let Some(victim) = set
+                .flows()
+                .iter()
+                .max_by_key(|f| match ac.policy {
+                    EvictionPolicy::LowestPriorityFirst => {
+                        (u8::MAX - rank(&f.class), seq(ac, f.id))
+                    }
+                    EvictionPolicy::LatestAdmittedFirst => (0, seq(ac, f.id)),
+                })
+                .map(|f| f.id)
+            else {
+                break;
+            };
+            set = set.without_flow(victim)?;
+            response.evicted.push(victim);
+            if let Some(orig) = ac.current.flows().iter().find(|f| f.id == victim) {
+                ac.enqueue_retry(
+                    orig.clone(),
+                    now,
+                    "evicted: unschedulable after fault".to_string(),
+                );
+            }
+        }
+        let keep: HashSet<FlowId> = set.flows().iter().map(|f| f.id).collect();
+        ac.order.retain(|(f, _)| keep.contains(f));
+        ac.current = set;
+        ac.state = None;
+        ac.screen =
+            (ac.tiered == TieredPolicy::Screened).then(|| AggregateCache::build(&ac.current));
+        ac.metrics.dropped += response.dropped.len() as u64;
+        ac.metrics.evicted += response.evicted.len() as u64;
+        Ok(response)
+    }
+
+    /// A controller grown by admission from the first flow of `set`:
+    /// generated sets are often unschedulable as a whole.
+    fn admitted(set: &FlowSet, policy: EvictionPolicy) -> AdmissionController {
+        let first = FlowSet::new(set.network().clone(), set.flows()[..1].to_vec()).unwrap();
+        let mut ac = AdmissionController::with_policy(first, AnalysisConfig::default(), policy);
+        for f in &set.flows()[1..] {
+            ac.try_admit(f.clone());
+        }
+        ac
+    }
+
+    /// Runs `scenario` through the warm `on_fault` and the cold oracle on
+    /// two copies of `ac` and requires the same response, retry queue,
+    /// bookkeeping and, per flow id, the same final report.
+    /// Returns the number of evictions.
+    fn assert_warm_fault_matches_cold(ac: &AdmissionController, scenario: &FaultScenario) -> usize {
+        let mut warm = ac.clone();
+        let mut cold = ac.clone();
+        let got = warm.on_fault(scenario, 5);
+        let want = on_fault_cold(&mut cold, scenario, 5);
+        match (&got, &want) {
+            (Ok(g), Ok(w)) => assert_eq!(g, w),
+            (Err(g), Err(w)) => assert_eq!(g.to_string(), w.to_string()),
+            _ => panic!("warm {got:?} vs cold {want:?}"),
+        }
+        assert_eq!(warm.retry_queue(), cold.retry_queue());
+        assert_eq!(warm.order, cold.order);
+        assert_eq!(warm.metrics(), cold.metrics());
+        let ids = |s: &FlowSet| s.flows().iter().map(|f| f.id).collect::<Vec<_>>();
+        assert_eq!(ids(warm.flows()), ids(cold.flows()));
+        assert!(warm.check_invariants().is_empty());
+        let reference = ConvergedState::build_ef(cold.flows(), &AnalysisConfig::default());
+        match (warm.warm_state(), &reference) {
+            (Some(st), Ok(cold_state)) => {
+                for r in cold_state.report().per_flow() {
+                    let w = st.report().for_flow(r.flow).unwrap();
+                    assert_eq!((&w.wcrt, w.jitter), (&r.wcrt, r.jitter), "flow {}", r.flow);
+                }
+            }
+            (None, Err(_)) => {}
+            (st, _) => panic!(
+                "warm state present: {}, cold build bounded: {}",
+                st.is_some(),
+                reference.is_ok()
+            ),
+        }
+        got.map(|r| r.evicted.len()).unwrap_or(0)
+    }
+
+    /// Picks a node (one pick in four) or a used link of `set` to take
+    /// down.
+    fn pick_fault(set: &FlowSet, pick: usize) -> FaultScenario {
+        if pick.is_multiple_of(4) {
+            let nodes = set.network().nodes().to_vec();
+            FaultScenario::node_down(nodes[pick % nodes.len()])
+        } else {
+            let links: Vec<_> = set.flows().iter().flat_map(|f| f.path.links()).collect();
+            match links.get(pick % links.len().max(1)) {
+                Some(&(a, b)) => FaultScenario::link_down(a, b),
+                None => FaultScenario::new(Vec::new()),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn warm_fault_matches_the_cold_loop_on_random_meshes(
+            seed in 0u64..1_000_000,
+            pick in 0usize..64,
+            policy_pick in 0u8..2,
+        ) {
+            let p = traj_model::gen::MeshParams {
+                nodes: 6,
+                flows: 60,
+                path_len: (2, 4),
+                cost: (1, 3),
+                max_utilisation: 0.95,
+                ..Default::default()
+            };
+            let set = traj_model::gen::random_mesh(seed, &p).unwrap();
+            let policy = if policy_pick == 1 {
+                EvictionPolicy::LatestAdmittedFirst
+            } else {
+                EvictionPolicy::LowestPriorityFirst
+            };
+            let ac = admitted(&set, policy);
+            assert_warm_fault_matches_cold(&ac, &pick_fault(ac.flows(), pick));
+        }
+
+        #[test]
+        fn warm_fault_matches_the_cold_loop_on_fat_trees(
+            seed in 0u64..1_000_000,
+            pick in 0usize..64,
+            locality_pick in 0usize..3,
+        ) {
+            let ac = loaded_fat_tree(seed, [1.0, 0.8, 0.3][locality_pick]);
+            let flows = ac.flows().flows();
+            assert_warm_fault_matches_cold(&ac, &edge_link_fault(&flows[pick % flows.len()]));
+        }
+    }
+
+    /// A two-pod fat tree filled by admission until deadlines bind.
+    fn loaded_fat_tree(seed: u64, locality: f64) -> AdmissionController {
+        let p = traj_model::gen::FatTreeParams {
+            pods: 2,
+            flows: 120,
+            locality,
+            ..Default::default()
+        };
+        admitted(
+            &traj_model::gen::fat_tree(seed, &p).unwrap(),
+            EvictionPolicy::default(),
+        )
+    }
+
+    /// `flow`'s first link, edge to aggregation, taken down: its flows
+    /// detour through the pod's other aggregation switch and load it.
+    fn edge_link_fault(flow: &SporadicFlow) -> FaultScenario {
+        match flow.path.links().next() {
+            Some((a, b)) => FaultScenario::link_down(a, b),
+            None => FaultScenario::new(Vec::new()),
+        }
+    }
+
+    #[test]
+    fn warm_evictions_match_the_cold_loop_on_loaded_fat_trees() {
+        let mut evicted = 0;
+        for seed in 0..4 {
+            let ac = loaded_fat_tree(seed, 0.8);
+            for flow in ac.flows().flows().iter().take(8) {
+                evicted += assert_warm_fault_matches_cold(&ac, &edge_link_fault(flow));
+            }
+        }
+        assert!(evicted > 0, "some fault must force evictions");
+    }
+
+    #[test]
+    fn overloaded_fault_falls_back_through_the_cold_build_and_matches_the_loop() {
+        // Flow 1 (1→2→3) loads its path at 0.5 and flow 6 (11→6→12) at
+        // 0.6; flows 2–5 are light and only provide the detour links
+        // 1→5→6→7→3, none of them crossing both heavy flows. With 2→3
+        // down, flow 1 detours through node 6, in the middle of its new
+        // path, and its busy period diverges: the fault delta's fixed
+        // point fails, and the evictions go on from the cold build.
+        let network = traj_model::Network::uniform(12, 1, 1).unwrap();
+        let flow = |id: u32, nodes: &[u32], period: i64, cost: i64| {
+            let path = Path::from_ids(nodes.iter().copied()).unwrap();
+            SporadicFlow::uniform(id, path, period, cost, 0, 100_000).unwrap()
+        };
+        let set = FlowSet::new(
+            network,
+            vec![
+                flow(1, &[1, 2, 3], 10, 5),
+                flow(2, &[1, 5], 1000, 1),
+                flow(3, &[5, 6], 1000, 1),
+                flow(4, &[6, 7], 1000, 1),
+                flow(5, &[7, 3], 1000, 1),
+                flow(6, &[11, 6, 12], 10, 6),
+            ],
+        )
+        .unwrap();
+        let scenario = FaultScenario::link_down(traj_model::NodeId(2), traj_model::NodeId(3));
+        let degraded = scenario.apply(&set).unwrap();
+        assert!(matches!(degraded.fates[0], FlowFate::Rerouted { .. }));
+        let survivors = degraded.surviving_set().unwrap();
+        assert!(
+            ConvergedState::build_ef(&survivors, &AnalysisConfig::default()).is_err(),
+            "the detour must overload flow 1"
+        );
+        for policy in [
+            EvictionPolicy::LowestPriorityFirst,
+            EvictionPolicy::LatestAdmittedFirst,
+        ] {
+            let ac = admitted(&set, policy);
+            assert_eq!(ac.flows().len(), set.len(), "every flow is admissible");
+            assert_warm_fault_matches_cold(&ac, &scenario);
+            let mut warm = ac.clone();
+            let resp = warm.on_fault(&scenario, 5).unwrap();
+            assert_eq!(resp.evicted, vec![FlowId(6)]);
+            assert!(
+                warm.warm_state().is_some(),
+                "the cold build republishes a state"
+            );
+        }
     }
 }

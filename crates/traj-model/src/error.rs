@@ -28,6 +28,8 @@ pub enum ModelError {
     },
     /// Two flows share a flow identifier.
     DuplicateFlowId { id: FlowId },
+    /// A change names a flow identifier the set does not hold.
+    UnknownFlowId { id: FlowId },
     /// Assumption 1 is violated and automatic splitting was disabled.
     Assumption1Violated { flow: FlowId, against: FlowId },
     /// The flow set is empty.
@@ -69,6 +71,7 @@ impl fmt::Display for ModelError {
                 "flow {flow}: {costs} per-node costs given for a {path}-node path"
             ),
             ModelError::DuplicateFlowId { id } => write!(f, "duplicate flow id {id}"),
+            ModelError::UnknownFlowId { id } => write!(f, "no flow with id {id}"),
             ModelError::Assumption1Violated { flow, against } => write!(
                 f,
                 "flow {flow} re-enters the path of flow {against} after leaving it \

@@ -230,28 +230,71 @@ impl FlowSet {
     /// A new set over the same network with `extra` appended, sharing
     /// this set's relation memo (admission "what-if" analysis).
     pub fn extended_with(&self, extra: SporadicFlow) -> Result<Self, ModelError> {
-        // The standing flows and network were validated when `self` was
-        // built, so only the appended flow needs checking — the full
-        // `FlowSet::new` sweep is O(flows · hops · nodes) and would
-        // dominate a warm-start admission decision.
-        if self.index_of(extra.id).is_some() {
-            return Err(ModelError::DuplicateFlowId { id: extra.id });
-        }
-        for &n in extra.path.nodes() {
-            if !self.network.contains(n) {
-                return Err(ModelError::UnknownNode {
-                    flow: extra.id,
-                    node: n,
-                });
+        self.with_delta(&[], &[], std::slice::from_ref(&extra))
+            .map(|(set, _)| set)
+    }
+
+    /// A new set with the flows named in `remove` taken out, each flow
+    /// of `replace` put in the place of the flow with its id, and
+    /// `append` added at the end, sharing this set's relation memo.
+    ///
+    /// Only the replaced and appended flows are validated (the standing
+    /// ones were when `self` was built): a removed or replaced id the set
+    /// does not hold is [`ModelError::UnknownFlowId`], each appended flow
+    /// in turn is checked for a duplicate id and then for nodes outside
+    /// the network, and a change that leaves no flow is
+    /// [`ModelError::EmptyFlowSet`]. Also returns
+    /// where each standing flow went: entry `i` is the new index of
+    /// flow `i`, `None` when it was removed.
+    pub fn with_delta(
+        &self,
+        remove: &[FlowId],
+        replace: &[SporadicFlow],
+        append: &[SporadicFlow],
+    ) -> Result<(Self, Vec<Option<usize>>), ModelError> {
+        let unknown_node = |f: &SporadicFlow| {
+            f.path
+                .nodes()
+                .iter()
+                .find(|n| !self.network.contains(**n))
+                .map(|&node| ModelError::UnknownNode { flow: f.id, node })
+        };
+        for &id in remove.iter().chain(replace.iter().map(|f| &f.id)) {
+            if self.index_of(id).is_none() {
+                return Err(ModelError::UnknownFlowId { id });
             }
         }
-        let mut flows = self.flows.clone();
-        flows.push(extra);
-        Ok(FlowSet {
+        if let Some(e) = replace.iter().find_map(unknown_node) {
+            return Err(e);
+        }
+        let mut flows: Vec<SporadicFlow> = Vec::with_capacity(self.flows.len() + append.len());
+        let mut moved = Vec::with_capacity(self.flows.len());
+        for f in &self.flows {
+            if remove.contains(&f.id) {
+                moved.push(None);
+                continue;
+            }
+            moved.push(Some(flows.len()));
+            flows.push(replace.iter().find(|r| r.id == f.id).unwrap_or(f).clone());
+        }
+        for extra in append {
+            if flows.iter().any(|f| f.id == extra.id) {
+                return Err(ModelError::DuplicateFlowId { id: extra.id });
+            }
+            if let Some(e) = unknown_node(extra) {
+                return Err(e);
+            }
+            flows.push(extra.clone());
+        }
+        if flows.is_empty() {
+            return Err(ModelError::EmptyFlowSet);
+        }
+        let set = FlowSet {
             network: self.network.clone(),
             flows,
             relations: self.relations.clone(),
-        })
+        };
+        Ok((set, moved))
     }
 
     /// A new set with flow `id` removed, sharing this set's relation
@@ -923,5 +966,39 @@ mod tests {
             FlowSet::new(net, vec![]).unwrap_err(),
             ModelError::EmptyFlowSet
         ));
+    }
+
+    #[test]
+    fn with_delta_keeps_order_and_maps_standing_indices() {
+        let s = set();
+        let ids = |s: &FlowSet| s.flows().iter().map(|f| f.id.0).collect::<Vec<_>>();
+        let moved_flow =
+            SporadicFlow::uniform(3, Path::from_ids([1, 3, 4]).unwrap(), 50, 2, 0, 500).unwrap();
+        let extra =
+            SporadicFlow::uniform(99, Path::from_ids([1, 2]).unwrap(), 50, 2, 0, 500).unwrap();
+        let (next, moved) = s
+            .with_delta(
+                &[FlowId(2)],
+                std::slice::from_ref(&moved_flow),
+                std::slice::from_ref(&extra),
+            )
+            .unwrap();
+        assert_eq!(ids(&next), vec![1, 3, 4, 5, 99]);
+        assert_eq!(moved, vec![Some(0), None, Some(1), Some(2), Some(3)]);
+        assert_eq!(next.flow(FlowId(3)).unwrap().path, moved_flow.path);
+        assert_eq!(
+            s.with_delta(&[FlowId(42)], &[], &[]).unwrap_err(),
+            ModelError::UnknownFlowId { id: FlowId(42) }
+        );
+        assert_eq!(
+            s.with_delta(&[], &[], std::slice::from_ref(&s.flows()[0]))
+                .unwrap_err(),
+            ModelError::DuplicateFlowId { id: FlowId(1) }
+        );
+        let all: Vec<FlowId> = s.flows().iter().map(|f| f.id).collect();
+        assert_eq!(
+            s.with_delta(&all, &[], &[]).unwrap_err(),
+            ModelError::EmptyFlowSet
+        );
     }
 }

@@ -8,8 +8,8 @@
 //! arrival-curve sums, the hop-count/packet-size maxima, the
 //! non-preemption blocking term, and each standing flow's deadline
 //! slack — as multisets maintained across admit/release (mirroring the
-//! trajectory engine's `InterferenceCache::extend_for`/`shrink_for`
-//! delta maintenance). A what-if then touches only the candidate's own
+//! trajectory engine's warm deltas on its converged state). A what-if
+//! then touches only the candidate's own
 //! path: the screen is O(path · log flows).
 //!
 //! # The screen bound

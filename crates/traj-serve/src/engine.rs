@@ -1082,4 +1082,69 @@ mod tests {
         engine.dispatch_line("{\"op\":\"shutdown\"}");
         engine.join();
     }
+
+    #[test]
+    fn a_fault_keeps_the_published_state_warm_and_equal_to_cold() {
+        use serde::value::field;
+        let engine = engine_with_example();
+        let ad = engine.dispatch_line(&format!(
+            "{{\"id\":1,\"op\":\"admit\",\"flow\":{}}}",
+            flow_json(10, 360, 200)
+        ));
+        assert!(ad.contains("\"decision\":\"admitted\""), "{ad}");
+        let scenario =
+            serde_json::to_string(&traj_model::FaultScenario::node_down(traj_model::NodeId(9)))
+                .unwrap();
+        let f = engine.dispatch_line(&format!(
+            "{{\"id\":2,\"op\":\"fault\",\"scenario\":{scenario},\"now\":0}}"
+        ));
+        assert!(f.contains("\"dropped\":[{\"flow\":2"), "{f}");
+        let result = |line: &str| -> Value {
+            let v: Value = serde_json::from_str(line).unwrap();
+            field(v.as_map().unwrap(), "result").unwrap().clone()
+        };
+        let ints = |v: &Value, key: &str| -> Vec<Option<i128>> {
+            let flows = field(v.as_map().unwrap(), "flows")
+                .and_then(Value::as_seq)
+                .unwrap();
+            flows
+                .iter()
+                .map(|f| field(f.as_map().unwrap(), key).and_then(Value::as_int))
+                .collect()
+        };
+
+        // `report` serves the warm state the fault kept, equal to a cold
+        // build of the surviving set.
+        let rep = result(&engine.dispatch_line("{\"id\":3,\"op\":\"report\"}"));
+        let view = engine.view();
+        let state = view.state.as_ref().expect("the fault publishes a state");
+        let cold = ConvergedState::build_ef(state.set(), &AnalysisConfig::default()).unwrap();
+        let want = |pick: fn(&traj_analysis::FlowReport) -> Option<i128>| {
+            cold.report()
+                .per_flow()
+                .iter()
+                .map(pick)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(ints(&rep, "id"), want(|r| Some(r.flow.0 as i128)));
+        assert_eq!(ints(&rep, "wcrt"), want(|r| r.wcrt.value().map(i128::from)));
+        assert_eq!(ints(&rep, "jitter"), want(|r| r.jitter.map(i128::from)));
+
+        // The next what-if reads that state: no cold fallback.
+        let cold_fallbacks = || {
+            let m = result(&engine.dispatch_line("{\"id\":4,\"op\":\"metrics\"}"));
+            let admission = field(m.as_map().unwrap(), "admission").unwrap().clone();
+            field(admission.as_map().unwrap(), "cold_fallbacks")
+                .and_then(Value::as_int)
+                .unwrap()
+        };
+        let before = cold_fallbacks();
+        let wi = engine.dispatch_line(&format!(
+            "{{\"id\":5,\"op\":\"whatif\",\"flow\":{}}}",
+            flow_json(11, 360, 200)
+        ));
+        assert!(wi.contains("\"decision\":\"admitted\""), "{wi}");
+        assert_eq!(cold_fallbacks(), before);
+        assert_eq!(before, 0);
+    }
 }

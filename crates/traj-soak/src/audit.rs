@@ -8,9 +8,10 @@
 //!   of the same set, integer for integer, plus the controller's
 //!   bookkeeping invariants
 //!   ([`AdmissionController::check_invariants`]);
-//! * **fault reanalysis** — per storm, the warm survivability path
-//!   ([`traj_analysis::reanalyze`]) must equal a cold
-//!   `analyze_degraded` of the same degraded set;
+//! * **fault reanalysis** — per storm, the controller's warm state
+//!   right after [`AdmissionController::on_fault`] (the surviving set
+//!   applied as one warm delta, then one warm removal per eviction)
+//!   must equal a cold `ConvergedState::build_ef` of its surviving set;
 //! * **bound domination** — observed simulated tail latency must stay
 //!   at or below the analytic bound for every surviving flow
 //!   ([`traj_sim::window_validate`]);
@@ -24,9 +25,8 @@
 //! [`crate::report::AuditCounters`] and (capped) pushes a readable
 //! message; the report's gates tolerate zero.
 
-use traj_analysis::{analyze_ef, reanalyze, AnalysisConfig, Analyzer};
+use traj_analysis::{analyze_ef, AnalysisConfig, ConvergedState};
 use traj_diffserv::{AdmissionController, TieredPolicy};
-use traj_model::{FaultScenario, FlowSet};
 use traj_sim::{window_validate, SimConfig, WindowParams};
 
 use crate::report::AuditCounters;
@@ -85,37 +85,51 @@ pub fn invariants(
     }
 }
 
-/// Per-storm audit of the warm survivability path: re-analyse the
-/// pre-storm set under the storm warm (seeded from a converged healthy
-/// analyzer) and cold, and compare. `healthy` is the admitted set
-/// *before* the controller reacted to the storm.
+/// Per-storm audit of the warm fault path, run right after
+/// [`AdmissionController::on_fault`]: the state the controller kept
+/// must equal a cold build of its surviving set, flow by flow. A
+/// controller left without a state passes only when the cold build
+/// cannot bound the set either.
 pub fn storm_reanalysis(
-    healthy: &FlowSet,
-    storm: &FaultScenario,
-    cfg: &AnalysisConfig,
+    controller: &AdmissionController,
     now: u64,
     counters: &mut AuditCounters,
     messages: &mut Vec<String>,
 ) {
     let _t = traj_obs::ScopedTimer::new("soak.audit.reanalysis").field("now", now);
-    let Ok(degraded) = storm.apply(healthy) else {
-        return; // the storm was skipped by the driver too
-    };
-    let Ok(analyzer) = Analyzer::new(healthy, cfg) else {
-        return; // healthy set diverges: nothing to compare warm against
-    };
     counters.reanalysis_checks += 1;
-    let warm = reanalyze(&analyzer, &degraded, cfg);
-    let audit = warm.verify_bit_identity(&degraded, cfg);
-    if !audit.passed() {
+    let cold = ConvergedState::build_ef(controller.flows(), &AnalysisConfig::default());
+    let failure = match (controller.warm_state(), &cold) {
+        (Some(warm), Ok(cold)) => {
+            let mismatches: Vec<_> = cold
+                .report()
+                .per_flow()
+                .iter()
+                .filter(|c| {
+                    warm.report()
+                        .for_flow(c.flow)
+                        .is_none_or(|w| w.wcrt != c.wcrt || w.jitter != c.jitter)
+                })
+                .map(|c| c.flow)
+                .collect();
+            (!mismatches.is_empty() || warm.set().len() != controller.flows().len()).then(|| {
+                format!("t={now}: warm fault state diverged from cold for flows {mismatches:?}")
+            })
+        }
+        (None, Err(_)) => None,
+        (warm, _) => Some(format!(
+            "t={now}: after the fault the controller {} a state but the cold build {}",
+            if warm.is_some() { "kept" } else { "dropped" },
+            if cold.is_ok() {
+                "bounds the set"
+            } else {
+                "diverges"
+            }
+        )),
+    };
+    if let Some(msg) = failure {
         counters.reanalysis_failures += 1;
-        push_message(
-            messages,
-            format!(
-                "t={now}: warm fault reanalysis diverged for flows {:?}",
-                audit.mismatches
-            ),
-        );
+        push_message(messages, msg);
     }
 }
 
@@ -282,12 +296,17 @@ mod tests {
 
     #[test]
     fn storm_reanalysis_matches_cold_on_the_paper_example() {
-        let set = paper_example();
-        let cfg = AnalysisConfig::default();
-        let storm = FaultScenario::node_down(traj_model::NodeId(9));
+        let mut ac = AdmissionController::new(paper_example(), AnalysisConfig::default());
+        // Warm the state first, so the fault delta has one to apply to.
+        assert!(ac.converged_state().is_some());
+        ac.on_fault(
+            &traj_model::FaultScenario::node_down(traj_model::NodeId(9)),
+            7,
+        )
+        .unwrap();
         let mut counters = AuditCounters::default();
         let mut messages = Vec::new();
-        storm_reanalysis(&set, &storm, &cfg, 7, &mut counters, &mut messages);
+        storm_reanalysis(&ac, 7, &mut counters, &mut messages);
         assert_eq!(counters.reanalysis_checks, 1);
         assert_eq!(counters.reanalysis_failures, 0, "{messages:?}");
     }

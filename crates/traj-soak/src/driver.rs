@@ -279,16 +279,6 @@ pub fn run_scenario(scenario: &SoakScenario) -> Result<SoakReport, String> {
                     storms.storms_skipped += 1;
                     continue;
                 }
-                // Audit the warm survivability path on the pre-storm
-                // set before the controller mutates anything.
-                audit::storm_reanalysis(
-                    controller.flows(),
-                    &storm,
-                    &cfg,
-                    now,
-                    &mut audits,
-                    &mut messages,
-                );
                 // Snapshot originals so rerouted flows can return.
                 let originals: HashMap<FlowId, SporadicFlow> = controller
                     .flows()
@@ -317,6 +307,9 @@ pub fn run_scenario(scenario: &SoakScenario) -> Result<SoakReport, String> {
                         );
                         active_faults.extend(storm.faults.iter().copied());
                         traj_obs::counter_add("soak.storms", 1);
+                        // Audit the warm fault path before anything
+                        // else touches the controller's state.
+                        audit::storm_reanalysis(&controller, now, &mut audits, &mut messages);
                     }
                     Err(_) => {
                         // e.g. the storm would kill every flow: the

@@ -1,7 +1,7 @@
 //! Differential suite for incremental warm-start admission analysis.
 //!
-//! [`analyze_ef_incremental`] / [`ConvergedState::extend`] / `remove`
-//! must produce EF bounds bit-identical to a cold [`analyze_ef`] of the
+//! [`ConvergedState::extend`] / `remove` (thin callers of the one warm
+//! delta, `ConvergedState::apply`) must produce EF bounds bit-identical to a cold [`analyze_ef`] of the
 //! same set — not just for one extension, but across whole
 //! admit/release/re-admit *sequences*, where the standing state has
 //! itself been produced incrementally. Verified on random meshes under
@@ -9,8 +9,7 @@
 //! example across the full configuration grid.
 
 use fifo_trajectory::analysis::{
-    analyze_ef, analyze_ef_incremental, config_grid, AnalysisConfig, ConvergedState, SetReport,
-    SmaxMode,
+    analyze_ef, config_grid, AnalysisConfig, ConvergedState, SetReport, SmaxMode,
 };
 use fifo_trajectory::model::examples::paper_example;
 use fifo_trajectory::model::gen::{fat_tree, random_mesh, FatTreeParams, MeshParams};
@@ -78,9 +77,9 @@ fn run_sequence(set: &FlowSet, cfg: &AnalysisConfig, start: u32) -> Result<(), T
         return Ok(());
     };
 
-    // Admit A via the free-function entry point.
+    // Admit A.
     let a = candidate(901, start);
-    let whatif_a = analyze_ef_incremental(&standing, a.clone()).expect("structurally valid");
+    let whatif_a = standing.extend(a.clone()).expect("structurally valid");
     let ext_a = set.extended_with(a).expect("valid extension");
     assert_reports_identical(&whatif_a.report, &analyze_ef(&ext_a, cfg), "admit A")?;
     let Some(state_a) = whatif_a.into_state() else {

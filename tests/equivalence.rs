@@ -12,20 +12,21 @@
 //! fan-out the engine picks per run are checked against the same oracle
 //! plan by plan in the engine's own unit tests.
 //!
-//! The same contract covers survivability: `reanalyze` (warm-started
-//! from the healthy fixed point, dirty-closure-pruned) must agree
-//! bit-for-bit with `analyze_degraded` (cold) for arbitrary link/node
-//! failures, in every configuration corner.
+//! The same contract covers faults: the surviving set applied to a
+//! converged healthy state as one warm delta (dropped ids removed,
+//! rerouted flows replaced, closure-pruned) must agree bit-for-bit, per
+//! flow id, with a cold `ConvergedState::build_ef` of the surviving set
+//! for arbitrary link/node failures, in every configuration corner.
 
 use fifo_trajectory::analysis::{
-    analyze_all, analyze_all_reference, analyze_degraded, analyze_ef, config_grid, reanalyze,
-    AnalysisConfig, Analyzer, ReferenceAnalyzer, SetReport, Verdict,
+    analyze_all, analyze_all_reference, analyze_degraded, analyze_ef, config_grid, AnalysisConfig,
+    Analyzer, ConvergedState, FlowDelta, ReferenceAnalyzer, SetReport, Verdict,
 };
 use fifo_trajectory::model::examples::paper_example;
 use fifo_trajectory::model::gen::{
     backbone_mesh, fat_tree, random_mesh, BackboneParams, FatTreeParams, MeshParams,
 };
-use fifo_trajectory::model::{DegradedSet, FaultScenario, FlowSet};
+use fifo_trajectory::model::{DegradedSet, FaultScenario, FlowFate, FlowId, FlowSet, SporadicFlow};
 use proptest::prelude::*;
 
 /// Bounds of the production engine and the oracle on one set under one
@@ -84,16 +85,11 @@ proptest! {
             return Ok(());
         };
         for cfg in config_grid() {
-            let Ok(healthy) = Analyzer::new(&set, &cfg) else {
+            let Ok(healthy) = ConvergedState::build_ef(&set, &cfg) else {
                 // No healthy fixed point to warm-start from.
                 continue;
             };
-            let re = reanalyze(&healthy, &degraded, &cfg);
-            let scratch = analyze_degraded(&degraded, &cfg);
-            for (a, b) in re.report.per_flow().iter().zip(scratch.per_flow()) {
-                prop_assert_eq!(&a.wcrt, &b.wcrt, "wcrt diverged, cfg {:?}", cfg);
-                prop_assert_eq!(&a.jitter, &b.jitter, "jitter diverged, cfg {:?}", cfg);
-            }
+            assert_fault_delta_matches_cold(&healthy, &degraded, &cfg)?;
         }
     }
 
@@ -179,6 +175,60 @@ fn assert_sharded_matches_monolithic(
                 m.map(|_| ())
             )));
         }
+    }
+    Ok(())
+}
+
+/// The surviving set of `degraded` as a delta on the healthy set:
+/// dropped ids removed, rerouted flows replaced.
+fn fault_delta(degraded: &DegradedSet) -> (Vec<FlowId>, Vec<SporadicFlow>) {
+    let mut remove = Vec::new();
+    let mut replace = Vec::new();
+    for (f, fate) in degraded.set.flows().iter().zip(&degraded.fates) {
+        match fate {
+            FlowFate::Untouched => {}
+            FlowFate::Rerouted { .. } => replace.push(f.clone()),
+            FlowFate::Dropped { .. } => remove.push(f.id),
+        }
+    }
+    (remove, replace)
+}
+
+/// The warm fault delta on `healthy` against a cold build of the
+/// surviving set: the same outcome, and per flow id the same verdicts.
+fn assert_fault_delta_matches_cold(
+    healthy: &ConvergedState,
+    degraded: &DegradedSet,
+    cfg: &AnalysisConfig,
+) -> Result<(), TestCaseError> {
+    let (remove, replace) = fault_delta(degraded);
+    let warm = healthy
+        .apply(FlowDelta {
+            remove: &remove,
+            replace: &replace,
+            ..FlowDelta::default()
+        })
+        .unwrap();
+    let survivors = degraded.surviving_set().unwrap();
+    match ConvergedState::build_ef(&survivors, cfg) {
+        Ok(cold) => {
+            prop_assert!(
+                warm.state().is_some(),
+                "warm diverged, cold bounded, cfg {:?}",
+                cfg
+            );
+            prop_assert_eq!(warm.report.per_flow().len(), survivors.len());
+            for want in cold.report().per_flow() {
+                let got = warm.report.for_flow(want.flow).unwrap();
+                prop_assert_eq!(&got.wcrt, &want.wcrt, "wcrt diverged, cfg {:?}", cfg);
+                prop_assert_eq!(&got.jitter, &want.jitter, "jitter diverged, cfg {:?}", cfg);
+            }
+        }
+        Err(_) => prop_assert!(
+            warm.state().is_none(),
+            "warm bounded, cold diverged, cfg {:?}",
+            cfg
+        ),
     }
     Ok(())
 }
@@ -296,11 +346,20 @@ proptest! {
         // Cold degraded analysis: sharded vs the monolithic oracle.
         let cold = analyze_degraded(&degraded, &cfg);
         assert_matches_degraded_oracle(&cold, &oracle, "degraded")?;
-        // Warm sharded re-analysis vs the oracle: the seeded-component
-        // skip must not change a single bound.
-        if let Ok(healthy) = Analyzer::new(&set, &cfg) {
-            let re = reanalyze(&healthy, &degraded, &cfg);
-            assert_matches_degraded_oracle(&re.report, &oracle, "warm sharded")?;
+        // The warm fault delta vs the oracle: the seeded-component skip
+        // must not change a single bound.
+        if let Ok(healthy) = ConvergedState::build_ef(&set, &cfg) {
+            let (remove, replace) = fault_delta(&degraded);
+            let warm = healthy
+                .apply(FlowDelta { remove: &remove, replace: &replace, ..FlowDelta::default() })
+                .unwrap();
+            for (f, want) in degraded.set.flows().iter().zip(&oracle) {
+                if let Some(want) = want {
+                    let got = warm.report.for_flow(f.id).unwrap();
+                    prop_assert_eq!(&got.wcrt, &want.wcrt, "warm delta wcrt diverged");
+                    prop_assert_eq!(&got.jitter, &want.jitter, "warm delta jitter diverged");
+                }
+            }
         }
     }
 }
@@ -406,4 +465,71 @@ fn cached_bounds_match_reference_on_a_midsize_mesh() {
     for base in config_grid() {
         assert_all_engines_agree(&set, &base).unwrap();
     }
+}
+
+/// Eight disjoint clusters of five crossing flows each (nodes `8k+1 ..=
+/// 8k+8`). Within a cluster the trunk `b+1 → b+2 → b+3 → b+4` carries
+/// most flows and the side path via `b+7` is the detour when a trunk
+/// link dies, so faults produce reroutes and drops inside one cluster.
+fn clustered_instance() -> FlowSet {
+    use fifo_trajectory::model::{Network, Path};
+    let network = Network::uniform(64, 1, 1).unwrap();
+    let mut flows = Vec::new();
+    for k in 0..8u32 {
+        let b = k * 8;
+        let paths = [
+            vec![b + 1, b + 2, b + 3, b + 4],
+            vec![b + 5, b + 2, b + 3, b + 6],
+            vec![b + 7, b + 3, b + 4],
+            vec![b + 2, b + 3, b + 4, b + 8],
+            vec![b + 2, b + 7, b + 3],
+        ];
+        for nodes in paths {
+            let id = flows.len() as u32 + 1;
+            let path = Path::from_ids(nodes).unwrap();
+            flows.push(SporadicFlow::uniform(id, path, 200, 3, 0, i64::MAX / 4).unwrap());
+        }
+    }
+    FlowSet::new(network, flows).unwrap()
+}
+
+#[test]
+fn single_link_fault_recomputes_only_the_cluster_it_hit() {
+    let set = clustered_instance();
+    let cfg = AnalysisConfig::default();
+    let healthy = ConvergedState::build_ef(&set, &cfg).unwrap();
+    let cluster = |f: &SporadicFlow| (f.id.0 - 1) / 5;
+    let mut faults = 0;
+    for f in set.flows() {
+        for (a, b) in f.path.links() {
+            let Ok(degraded) = FaultScenario::link_down(a, b).apply(&set) else {
+                continue;
+            };
+            faults += 1;
+            assert_fault_delta_matches_cold(&healthy, &degraded, &cfg).unwrap();
+            let (remove, replace) = fault_delta(&degraded);
+            let warm = healthy
+                .apply(FlowDelta {
+                    remove: &remove,
+                    replace: &replace,
+                    ..FlowDelta::default()
+                })
+                .unwrap();
+            let survivors = warm.state().unwrap().set();
+            for (g, stale) in survivors.flows().iter().zip(&warm.stale) {
+                assert!(
+                    !stale || cluster(g) == cluster(f),
+                    "link {a}->{b} of cluster {} recomputed flow {} of cluster {}",
+                    cluster(f),
+                    g.id,
+                    cluster(g)
+                );
+            }
+            assert!(warm.reused() >= survivors.len() - 5, "link {a}->{b}");
+        }
+    }
+    assert!(
+        faults >= 8 * 5,
+        "every cluster link is a fault case, got {faults}"
+    );
 }
